@@ -21,7 +21,7 @@
 //! exposition render), `StreamJournal` cursor polls and
 //! `ListIncidents` against a sealed flight-recorder capture — and
 //! merges it as the `obs{}` block. A third phase stands up a sharded
-//! multi-ship `Fleet` and drives the wire-v6 fleet console mix —
+//! multi-ship `Fleet` and drives the framed fleet console mix —
 //! `ListShips`, `GetFleetRollup`, `GetShipIcas`, `ForShip` routing and
 //! fleet `Subscribe` polls — merging the `fleet{}` block.
 //!
@@ -89,8 +89,8 @@ struct ObsBench {
 }
 
 /// The `fleet{}` block: the sharded multi-ship plane behind the
-/// routing `FleetGateway`, driven over wire v6. The client mix runs a
-/// fixed number of rounds against the settled fleet (serve-under-
+/// routing `FleetGateway`, driven over the fleet wire. The client mix
+/// runs a fixed number of rounds against the settled fleet (serve-under-
 /// publish is the `serving{}` phase's claim; this one measures routing
 /// overhead and rollup cost), so every count below is a pure function
 /// of the seeded scenario and gates exactly.

@@ -720,7 +720,7 @@ fn main() {
         // ListIncidents) against the same gateway.
         // v9: the worker-scaling block (formerly `fleet{}`) is renamed
         // `scaling{}`; `exp_serving` now merges a real `fleet{}` block —
-        // the sharded multi-ship plane served over wire v6.
+        // the sharded multi-ship plane served over the fleet wire.
         schema_version: 9,
         git_revision: git_revision(),
         git_dirty: git_dirty(),

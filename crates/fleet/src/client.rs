@@ -1,17 +1,18 @@
 //! The fleet client.
 //!
-//! Speaks framed wire-v6 against a shared [`FleetGateway`] handle:
-//! every call encodes a fleet request frame, hands it to the router,
-//! and decodes the fleet response frame — the same byte path a remote
-//! fleet console would exercise over a socket, so tests and `mpros-top`
-//! driving this client cover the full routing discipline, not an
-//! in-process shortcut.
+//! Speaks the framed fleet protocol against a shared [`FleetGateway`]
+//! handle: every call encodes a fleet request frame, hands it to the
+//! router, and decodes the fleet response frame — the same byte path a
+//! remote fleet console would exercise over a socket, so tests and
+//! `mpros-top` driving this client cover the full routing discipline,
+//! not an in-process shortcut.
 
 use crate::proto::{self, FleetRequest, FleetResponse, ShipDelta, ShipInfo};
 use crate::server::FleetGateway;
 use crate::snapshot::FleetRollup;
 use mpros_core::{Error, Result};
 use mpros_gateway::{GatewayRequest, GatewayResponse};
+use mpros_network::WireMessage;
 use mpros_pdme::IcasSnapshot;
 use std::sync::Arc;
 
@@ -62,14 +63,6 @@ impl FleetClient {
         let frame = proto::encode_fleet_request(req)?;
         let back = self.fleet.handle_frame(frame)?;
         proto::decode_fleet_response(back)
-    }
-
-    /// Push a raw pre-encoded frame through the router and return the
-    /// raw response frame. Exists for compatibility testing: a v5-era
-    /// single-ship frame goes in, a single-ship response frame comes
-    /// back.
-    pub fn call_raw(&self, frame: bytes::Bytes) -> Result<bytes::Bytes> {
-        self.fleet.handle_frame(frame)
     }
 
     /// The published fleet snapshot's version (0 until the first

@@ -17,7 +17,7 @@
 //! nothing, all three schedules produce byte-identical served state;
 //! `tests/fleet_serving.rs` pins that promise.
 
-use crate::server::{FleetGateway, FleetGatewayConfig, ShardHandle};
+use crate::server::FleetGateway;
 use crate::snapshot::{FleetSnapshot, ShipEntry};
 use mpros_core::{derive_salted_seed, Error, FaultPlan, Result, SimDuration};
 use mpros_gateway::{Gateway, GatewayConfig};
@@ -48,8 +48,6 @@ pub struct FleetConfig {
     pub fault_plans: BTreeMap<usize, FaultPlan>,
     /// Per-ship serving-gateway tuning.
     pub gateway: GatewayConfig,
-    /// Fleet router tuning.
-    pub fleet_gateway: FleetGatewayConfig,
     /// Step shards concurrently, one scoped thread per shard. Byte-
     /// identical to sequential stepping (shards share nothing); spends
     /// host cores to cut fleet-step wall time.
@@ -64,7 +62,6 @@ impl Default for FleetConfig {
             ship: ShipboardSimConfig::new(),
             fault_plans: BTreeMap::new(),
             gateway: GatewayConfig::new(),
-            fleet_gateway: FleetGatewayConfig::new(),
             parallel_ships: false,
         }
     }
@@ -105,12 +102,6 @@ impl FleetConfig {
     /// Set the per-ship serving-gateway tuning.
     pub fn with_gateway(mut self, gateway: GatewayConfig) -> Self {
         self.gateway = gateway;
-        self
-    }
-
-    /// Set the fleet router tuning.
-    pub fn with_fleet_gateway(mut self, fleet_gateway: FleetGatewayConfig) -> Self {
-        self.fleet_gateway = fleet_gateway;
         self
     }
 
@@ -168,14 +159,8 @@ impl Fleet {
                 available: true,
             });
         }
-        let handles = shards
-            .iter()
-            .map(|s| ShardHandle {
-                ship_id: s.ship_id,
-                gateway: s.gateway.clone(),
-            })
-            .collect();
-        let gateway = Arc::new(FleetGateway::new(config.fleet_gateway, &telemetry, handles));
+        let ship_gateways = shards.iter().map(|s| s.gateway.clone()).collect();
+        let gateway = Arc::new(FleetGateway::new(&telemetry, ship_gateways));
         let mut fleet = Fleet {
             shards,
             gateway,

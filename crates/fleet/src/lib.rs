@@ -5,13 +5,13 @@
 //! splitmix64-derived master seed, its own durable WAL store, its own
 //! fault plan and its own serving gateway, so shards share *nothing* —
 //! which is exactly what makes fleet-level determinism cheap to prove.
-//! A [`FleetGateway`] routes wire-v6 traffic: single-ship request tags
-//! (`32..64`) route to shard 0 for compatibility, the new fleet tags
-//! (`96..112`) answer from a versioned [`FleetSnapshot`] holding every
-//! ship's pinned serving snapshot plus a fleet-wide knowledge rollup —
-//! worst-status-wins machine census, conservative-envelope prognostic
-//! fusion across ships (the paper's §5.4 rule, one level up), a fleet
-//! SLO verdict and summed sim-domain counters.
+//! A [`FleetGateway`] serves fleet requests from a versioned
+//! [`FleetSnapshot`] holding every ship's pinned serving snapshot plus
+//! a fleet-wide knowledge rollup — worst-status-wins machine census,
+//! conservative-envelope prognostic fusion across ships (the paper's
+//! §5.4 rule, one level up), a fleet SLO verdict and summed sim-domain
+//! counters. A single-ship request reaches a ship only wrapped in
+//! [`FleetRequest::ForShip`].
 //!
 //! ## Determinism contract
 //!
@@ -39,7 +39,7 @@ pub use proto::{
     decode_fleet_request, decode_fleet_response, encode_fleet_request, encode_fleet_response,
     FleetRequest, FleetResponse, ShipDelta, ShipInfo,
 };
-pub use server::{FleetGateway, FleetGatewayConfig};
+pub use server::FleetGateway;
 pub use snapshot::{
     FleetMachine, FleetPrognostic, FleetRollup, FleetSloVerdict, FleetSnapshot, ShipEntry,
 };

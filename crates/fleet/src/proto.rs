@@ -1,19 +1,20 @@
-//! The fleet router's query protocol (wire v6).
+//! The fleet router's query protocol.
 //!
-//! Fleet frames ride the same header as everything else (`magic "MP" |
-//! version u8 | type u8 | payload_len u32 LE | JSON payload`, via
-//! [`mpros_network::frame_payload`] / [`mpros_network::deframe`]).
-//! The tag spaces partition the one wire discipline: ship network
-//! `1..=6`, gateway requests `32..64`, gateway responses `64..96`,
-//! **fleet requests `96..112`**, **fleet responses `112..128`**. Each
-//! family's decoder rejects every other family's range, so a misrouted
-//! frame fails loudly instead of half-parsing — `wire_compat_lint`
-//! asserts the ranges stay collision-free as tags are added.
+//! Fleet frames ride the same header and the same codec path as
+//! everything else ([`mpros_network::encode_body`] /
+//! [`mpros_network::decode_body`]). Their tags come from the
+//! `FLEET_REQUEST` and `FLEET_RESPONSE` rows of
+//! [`mpros_network::TAG_FAMILIES`]; each decoder rejects every other
+//! family's tags, so a misrouted frame fails loudly instead of
+//! half-parsing. Single-ship requests reach a ship only wrapped in
+//! [`FleetRequest::ForShip`].
 
 use crate::snapshot::FleetRollup;
 use bytes::Bytes;
-use mpros_core::{Error, Result};
+use mpros_core::Result;
 use mpros_gateway::{GatewayRequest, GatewayResponse, StatusDelta};
+use mpros_network::codec::{FLEET_REQUEST, FLEET_RESPONSE};
+use mpros_network::{decode_body, encode_body, TagFamily, WireMessage};
 use mpros_pdme::IcasSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -46,24 +47,27 @@ pub enum FleetRequest {
     },
 }
 
-impl FleetRequest {
-    /// Frame type tag (fleet request range `96..112`).
-    pub fn type_tag(&self) -> u8 {
+impl WireMessage for FleetRequest {
+    const FAMILY: TagFamily = FLEET_REQUEST;
+    const KIND_COUNT: usize = Self::KINDS.len();
+
+    fn kind_index(&self) -> usize {
         match self {
-            FleetRequest::ListShips => 96,
-            FleetRequest::GetFleetRollup => 97,
-            FleetRequest::GetShipIcas { .. } => 98,
-            FleetRequest::Subscribe { .. } => 99,
-            FleetRequest::ForShip { .. } => 100,
+            FleetRequest::ListShips => 0,
+            FleetRequest::GetFleetRollup => 1,
+            FleetRequest::GetShipIcas { .. } => 2,
+            FleetRequest::Subscribe { .. } => 3,
+            FleetRequest::ForShip { .. } => 4,
         }
     }
+}
 
-    /// Number of fleet request kinds (tag range `96..96 + COUNT`).
-    pub const KIND_COUNT: usize = 5;
+const _: () = assert!(FLEET_REQUEST.fits(FleetRequest::KIND_COUNT));
 
-    /// Every request kind name, indexed by `type_tag() - 96`; the fleet
+impl FleetRequest {
+    /// Every request kind name, indexed by `kind_index()`; the fleet
     /// gateway pre-registers one `service_time` histogram per entry.
-    pub const KINDS: [&'static str; Self::KIND_COUNT] = [
+    pub const KINDS: [&'static str; 5] = [
         "list_ships",
         "get_fleet_rollup",
         "get_ship_icas",
@@ -73,7 +77,7 @@ impl FleetRequest {
 
     /// Stable snake_case name of the request kind.
     pub fn kind(&self) -> &'static str {
-        Self::KINDS[(self.type_tag() - 96) as usize]
+        Self::KINDS[self.kind_index()]
     }
 }
 
@@ -172,19 +176,25 @@ pub enum FleetResponse {
     },
 }
 
-impl FleetResponse {
-    /// Frame type tag (fleet response range `112..128`).
-    pub fn type_tag(&self) -> u8 {
+impl WireMessage for FleetResponse {
+    const FAMILY: TagFamily = FLEET_RESPONSE;
+    const KIND_COUNT: usize = 6;
+
+    fn kind_index(&self) -> usize {
         match self {
-            FleetResponse::Ships { .. } => 112,
-            FleetResponse::FleetRollup { .. } => 113,
-            FleetResponse::ShipIcas { .. } => 114,
-            FleetResponse::FleetDeltas { .. } => 115,
-            FleetResponse::ShipUnavailable { .. } => 116,
-            FleetResponse::ShipReply { .. } => 117,
+            FleetResponse::Ships { .. } => 0,
+            FleetResponse::FleetRollup { .. } => 1,
+            FleetResponse::ShipIcas { .. } => 2,
+            FleetResponse::FleetDeltas { .. } => 3,
+            FleetResponse::ShipUnavailable { .. } => 4,
+            FleetResponse::ShipReply { .. } => 5,
         }
     }
+}
 
+const _: () = assert!(FLEET_RESPONSE.fits(FleetResponse::KIND_COUNT));
+
+impl FleetResponse {
     /// The fleet snapshot version stamped on the response.
     pub fn fleet_version(&self) -> u64 {
         match self {
@@ -200,50 +210,22 @@ impl FleetResponse {
 
 /// Encode a fleet request into one wire frame.
 pub fn encode_fleet_request(req: &FleetRequest) -> Result<Bytes> {
-    let payload = serde_json::to_vec(req)
-        .map_err(|e| Error::Encoding(format!("fleet request serialization: {e}")))?;
-    mpros_network::frame_payload(req.type_tag(), &payload)
+    encode_body(req)
 }
 
-/// Decode one fleet request frame. The declared type tag must match
-/// the decoded body, and must be a fleet request tag.
+/// Decode one fleet request frame.
 pub fn decode_fleet_request(frame: Bytes) -> Result<FleetRequest> {
-    let (tag, payload) = mpros_network::deframe(frame)?;
-    if !(96..112).contains(&tag) {
-        return Err(Error::Encoding(format!(
-            "type tag {tag} is not a fleet request"
-        )));
-    }
-    let req: FleetRequest = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("fleet request deserialization: {e}")))?;
-    if req.type_tag() != tag {
-        return Err(Error::Encoding("type tag does not match body".into()));
-    }
-    Ok(req)
+    decode_body(frame)
 }
 
 /// Encode a fleet response into one wire frame.
 pub fn encode_fleet_response(resp: &FleetResponse) -> Result<Bytes> {
-    let payload = serde_json::to_vec(resp)
-        .map_err(|e| Error::Encoding(format!("fleet response serialization: {e}")))?;
-    mpros_network::frame_payload(resp.type_tag(), &payload)
+    encode_body(resp)
 }
 
-/// Decode one fleet response frame. The declared type tag must match
-/// the decoded body, and must be a fleet response tag.
+/// Decode one fleet response frame.
 pub fn decode_fleet_response(frame: Bytes) -> Result<FleetResponse> {
-    let (tag, payload) = mpros_network::deframe(frame)?;
-    if !(112..128).contains(&tag) {
-        return Err(Error::Encoding(format!(
-            "type tag {tag} is not a fleet response"
-        )));
-    }
-    let resp: FleetResponse = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("fleet response deserialization: {e}")))?;
-    if resp.type_tag() != tag {
-        return Err(Error::Encoding("type tag does not match body".into()));
-    }
-    Ok(resp)
+    decode_body(frame)
 }
 
 #[cfg(test)]
@@ -309,17 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn fleet_and_gateway_tag_spaces_are_disjoint() {
-        let freq = encode_fleet_request(&FleetRequest::ListShips).unwrap();
-        assert!(mpros_gateway::decode_request(freq.clone()).is_err());
-        assert!(mpros_gateway::decode_response(freq.clone()).is_err());
-        assert!(decode_fleet_response(freq).is_err());
-        let gresp = mpros_gateway::encode_response(&GatewayResponse::SloVerdict {
-            snapshot_version: 1,
-            verdict: None,
+    fn fleet_request_and_response_tags_are_disjoint() {
+        let req = encode_fleet_request(&FleetRequest::ListShips).unwrap();
+        assert!(decode_fleet_response(req).is_err());
+        let resp = encode_fleet_response(&FleetResponse::ShipUnavailable {
+            fleet_version: 1,
+            ship: 0,
+            detail: "unknown_ship".into(),
         })
         .unwrap();
-        assert!(decode_fleet_request(gresp.clone()).is_err());
-        assert!(decode_fleet_response(gresp).is_err());
+        assert!(decode_fleet_request(resp).is_err());
     }
 }

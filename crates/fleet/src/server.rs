@@ -7,121 +7,59 @@
 //! [`FleetGateway::handle_frame`] concurrently and serve from the
 //! immutable snapshot.
 //!
-//! Routing rules (wire v6):
-//!
-//! * tags `32..64` (single-ship gateway requests) route to **shard 0**
-//!   for compatibility — a v5-era client pointed at the fleet router
-//!   keeps working against the first ship, byte-for-byte;
-//! * tags `96..112` are fleet requests, answered from the published
-//!   [`FleetSnapshot`]; [`FleetRequest::ForShip`] re-dispatches its
-//!   inner request against the addressed ship's *pinned* snapshot;
-//! * anything else is a bad frame.
-//!
-//! A crashed/crash-restoring shard answers `shard_unavailable` (and is
-//! flagged in the rollup) while every other shard keeps serving.
+//! Every frame must decode as a [`FleetRequest`]; anything else is a
+//! counted bad frame. [`FleetRequest::ForShip`] answers its inner
+//! single-ship request against the addressed ship's snapshot as pinned
+//! in the current [`FleetSnapshot`], so a fleet response is a pure
+//! function of `(fleet version, request)`. A crashed/crash-restoring
+//! shard answers `shard_unavailable` (and is flagged in the rollup)
+//! while every other shard keeps serving.
 
-use crate::proto::{self, FleetRequest, FleetResponse, ShipDelta, ShipInfo};
+use crate::proto::{FleetRequest, FleetResponse, ShipDelta, ShipInfo};
 use crate::snapshot::FleetSnapshot;
 use bytes::Bytes;
 use mpros_core::Result;
-use mpros_gateway::Gateway;
-use mpros_telemetry::{Histogram, Telemetry, WallTimer};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, VecDeque};
+use mpros_gateway::{FrameHandler, Gateway, SessionQueues, FLEET_SESSION_QUEUE_CAPACITY};
+use mpros_telemetry::{Counter, Telemetry};
+use parking_lot::RwLock;
 use std::sync::Arc;
-
-/// Fleet router tuning knobs.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct FleetGatewayConfig {
-    /// Queued per-ship deltas a fleet session may hold before
-    /// oldest-drop eviction.
-    pub session_queue_capacity: usize,
-}
-
-impl Default for FleetGatewayConfig {
-    fn default() -> Self {
-        FleetGatewayConfig {
-            session_queue_capacity: 256,
-        }
-    }
-}
-
-impl FleetGatewayConfig {
-    /// The default configuration (256 queued deltas per session —
-    /// larger than a single ship's queue because one fleet session
-    /// watches every shard).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the per-session delta queue capacity (clamped to at least 1).
-    pub fn with_session_queue_capacity(mut self, capacity: usize) -> Self {
-        self.session_queue_capacity = capacity.max(1);
-        self
-    }
-}
-
-/// One fleet-scoped subscriber's server-side state.
-#[derive(Debug, Default)]
-struct SessionState {
-    queue: VecDeque<ShipDelta>,
-    dropped_since_poll: u64,
-}
-
-/// One shard as the router sees it: the ship's own gateway handle.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardHandle {
-    pub(crate) ship_id: u64,
-    pub(crate) gateway: Arc<Gateway>,
-}
 
 /// The fleet query router. Shared as `Arc<FleetGateway>`.
 #[derive(Debug)]
 pub struct FleetGateway {
-    config: FleetGatewayConfig,
     /// The published fleet snapshot. Writers swap the `Arc`; readers
     /// clone it.
     current: RwLock<Arc<FleetSnapshot>>,
-    /// Per-shard ship-gateway handles, ascending ship id. Tag-32..64
-    /// compatibility traffic goes straight to shard 0's gateway;
-    /// `ForShip` requests serve against pinned snapshots through the
-    /// addressed shard's gateway.
-    shards: Vec<ShardHandle>,
+    /// Every ship's own gateway, indexed by ship id. `ForShip` requests
+    /// serve against pinned snapshots through the addressed ship's
+    /// gateway.
+    ships: Vec<Arc<Gateway>>,
     /// Fleet-scoped subscriber sessions.
-    sessions: Mutex<BTreeMap<u64, SessionState>>,
-    /// The fleet's own telemetry domain (`fleet.*` counters) — distinct
-    /// from every ship's domain, so router load never perturbs a ship's
-    /// deterministic serving surface.
-    telemetry: Telemetry,
-    /// Wall-clock service-time histograms, one per fleet request kind
-    /// (indexed by `type_tag - 96`).
-    service_time: Vec<Arc<Histogram>>,
+    sessions: SessionQueues<ShipDelta>,
+    /// Instruments in the fleet's own telemetry domain — distinct from
+    /// every ship's domain, so router load never perturbs a ship's
+    /// deterministic serving surface. Registered once, so the serve
+    /// path never takes the registry lock.
+    serving: FrameHandler,
+    publishes: Arc<Counter>,
+    routed_ship_requests: Arc<Counter>,
+    unavailable_hits: Arc<Counter>,
 }
 
 impl FleetGateway {
-    pub(crate) fn new(
-        config: FleetGatewayConfig,
-        telemetry: &Telemetry,
-        shards: Vec<ShardHandle>,
-    ) -> Self {
-        let service_time = FleetRequest::KINDS
-            .iter()
-            .map(|kind| telemetry.histogram("fleet", &format!("service_time.{kind}.wall_s")))
-            .collect();
+    /// A router over `ships` (ship `i`'s gateway at index `i`),
+    /// counting into `telemetry`'s `fleet` component.
+    pub(crate) fn new(telemetry: &Telemetry, ships: Vec<Arc<Gateway>>) -> Self {
+        let counter = |name| telemetry.counter("fleet", name);
         FleetGateway {
-            config,
             current: RwLock::new(Arc::new(FleetSnapshot::empty())),
-            shards,
-            sessions: Mutex::new(BTreeMap::new()),
-            telemetry: telemetry.clone(),
-            service_time,
+            ships,
+            sessions: SessionQueues::new(FLEET_SESSION_QUEUE_CAPACITY, telemetry, "fleet"),
+            serving: FrameHandler::new(telemetry, "fleet", &FleetRequest::KINDS),
+            publishes: counter("publishes"),
+            routed_ship_requests: counter("routed_ship_requests"),
+            unavailable_hits: counter("unavailable_hits"),
         }
-    }
-
-    /// The configuration the router was built with.
-    pub fn config(&self) -> &FleetGatewayConfig {
-        &self.config
     }
 
     /// The currently published fleet snapshot (an `Arc` clone).
@@ -137,7 +75,7 @@ impl FleetGateway {
 
     /// Registered fleet-scoped subscriber sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
+        self.sessions.session_count()
     }
 
     /// Publish a freshly built fleet snapshot: diff every ship's pinned
@@ -162,24 +100,9 @@ impl FleetGateway {
                 });
             }
         }
-        if !deltas.is_empty() {
-            let mut sessions = self.sessions.lock();
-            let drops = self.telemetry.counter("fleet", "drops");
-            let queued = self.telemetry.counter("fleet", "deltas_queued");
-            for state in sessions.values_mut() {
-                for delta in &deltas {
-                    while state.queue.len() >= self.config.session_queue_capacity {
-                        state.queue.pop_front();
-                        state.dropped_since_poll += 1;
-                        drops.inc();
-                    }
-                    state.queue.push_back(delta.clone());
-                    queued.inc();
-                }
-            }
-        }
+        self.sessions.publish(&deltas);
         *self.current.write() = Arc::new(snapshot);
-        self.telemetry.counter("fleet", "publishes").inc();
+        self.publishes.inc();
     }
 
     /// Serve one fleet request against the current snapshot. Pure with
@@ -222,10 +145,7 @@ impl FleetGateway {
                 Err(unavailable) => *unavailable,
             },
             FleetRequest::Subscribe { session } => {
-                let mut sessions = self.sessions.lock();
-                let state = sessions.entry(*session).or_default();
-                let dropped = std::mem::take(&mut state.dropped_since_poll);
-                let deltas: Vec<ShipDelta> = state.queue.drain(..).collect();
+                let (dropped, deltas) = self.sessions.drain(*session);
                 FleetResponse::FleetDeltas {
                     fleet_version,
                     session: *session,
@@ -234,22 +154,15 @@ impl FleetGateway {
                 }
             }
             FleetRequest::ForShip { ship, request } => {
-                self.telemetry
-                    .counter("fleet", "routed_ship_requests")
-                    .inc();
+                self.routed_ship_requests.inc();
                 match self.pinned(snap, *ship, fleet_version) {
-                    Ok(entry) => {
-                        let shard = self
-                            .shards
-                            .iter()
-                            .find(|s| s.ship_id == *ship)
-                            .expect("pinned() vetted the ship id");
-                        FleetResponse::ShipReply {
-                            fleet_version,
-                            ship: *ship,
-                            response: shard.gateway.serve_on(&entry.snapshot, request),
-                        }
-                    }
+                    // `pinned` vetted the id: every snapshot entry is a
+                    // shard, and shards are numbered 0..n.
+                    Ok(entry) => FleetResponse::ShipReply {
+                        fleet_version,
+                        ship: *ship,
+                        response: self.ships[*ship as usize].serve_on(&entry.snapshot, request),
+                    },
                     Err(unavailable) => *unavailable,
                 }
             }
@@ -268,7 +181,7 @@ impl FleetGateway {
         match snap.ship(ship) {
             Some(entry) if entry.available => Ok(entry),
             Some(_) => {
-                self.telemetry.counter("fleet", "unavailable_hits").inc();
+                self.unavailable_hits.inc();
                 Err(Box::new(FleetResponse::ShipUnavailable {
                     fleet_version,
                     ship,
@@ -283,60 +196,15 @@ impl FleetGateway {
         }
     }
 
-    /// Serve one framed request: decode, route, answer, encode.
+    /// Serve one framed fleet request: decode, route, answer, encode.
     /// Thread-safe; the entry point client transports call
-    /// concurrently.
-    ///
-    /// Single-ship request frames (tags `32..64`) are forwarded to
-    /// shard 0's gateway **unchanged** and its response frame returned
-    /// as-is — the full v5 compatibility path. Fleet frames (tags
-    /// `96..112`) are served here. Everything else counts as
-    /// `fleet.bad_frames`.
+    /// concurrently. Frames that do not decode as a [`FleetRequest`]
+    /// count as `fleet.bad_frames`.
     pub fn handle_frame(&self, frame: Bytes) -> Result<Bytes> {
-        let timer = WallTimer::start();
-        // The type tag sits at a fixed header offset; peeking it routes
-        // the frame without deserializing the payload twice. Malformed
-        // frames fall through to the decoders, which reject them.
-        let tag = frame.get(3).copied().unwrap_or(0);
-        if (32..64).contains(&tag) {
-            self.telemetry
-                .counter("fleet", "routed_ship_requests")
-                .inc();
-            let shard0_available = self
-                .snapshot()
-                .ship(0)
-                .map(|s| s.available)
-                .unwrap_or(false);
-            if !shard0_available {
-                self.telemetry.counter("fleet", "unavailable_hits").inc();
-                let resp = FleetResponse::ShipUnavailable {
-                    fleet_version: self.version(),
-                    ship: 0,
-                    detail: "shard_unavailable".into(),
-                };
-                self.telemetry.counter("fleet", "requests").inc();
-                return proto::encode_fleet_response(&resp);
-            }
-            let out = self.shards[0].gateway.handle_frame(frame);
-            if out.is_ok() {
-                self.telemetry.counter("fleet", "requests").inc();
-            } else {
-                self.telemetry.counter("fleet", "bad_frames").inc();
-            }
-            return out;
-        }
-        let req = match proto::decode_fleet_request(frame) {
-            Ok(req) => req,
-            Err(e) => {
-                self.telemetry.counter("fleet", "bad_frames").inc();
-                return Err(e);
-            }
-        };
         let snap = self.snapshot();
-        let resp = self.serve_on(&snap, &req);
-        let out = proto::encode_fleet_response(&resp)?;
-        self.telemetry.counter("fleet", "requests").inc();
-        self.service_time[(req.type_tag() - 96) as usize].record(timer.elapsed().as_secs_f64());
+        let (out, _) = self
+            .serving
+            .handle(frame, |req: &FleetRequest| self.serve_on(&snap, req))?;
         Ok(out)
     }
 }
@@ -347,18 +215,10 @@ mod tests {
     use crate::snapshot::ShipEntry;
     use mpros_gateway::{GatewayConfig, ServingSnapshot};
 
-    fn router_with_one_empty_shard() -> FleetGateway {
+    fn router_with_one_empty_shard(fleet_tel: &Telemetry) -> FleetGateway {
         let ship_tel = Telemetry::new();
         let gateway = Arc::new(Gateway::new(GatewayConfig::new(), &ship_tel));
-        let fleet_tel = Telemetry::new();
-        let router = FleetGateway::new(
-            FleetGatewayConfig::new(),
-            &fleet_tel,
-            vec![ShardHandle {
-                ship_id: 0,
-                gateway,
-            }],
-        );
+        let router = FleetGateway::new(fleet_tel, vec![gateway]);
         router.publish(
             FleetSnapshot::build(
                 1,
@@ -375,7 +235,7 @@ mod tests {
 
     #[test]
     fn unknown_ship_is_distinguished_from_crashed_ship() {
-        let router = router_with_one_empty_shard();
+        let router = router_with_one_empty_shard(&Telemetry::new());
         match router.serve(&FleetRequest::GetShipIcas { ship: 9 }) {
             FleetResponse::ShipUnavailable { detail, .. } => assert_eq!(detail, "unknown_ship"),
             other => panic!("wrong response {other:?}"),
@@ -383,19 +243,19 @@ mod tests {
     }
 
     #[test]
-    fn ship_range_frames_route_to_shard_zero() {
-        let router = router_with_one_empty_shard();
+    fn single_ship_request_frames_are_bad_frames() {
+        let fleet_tel = Telemetry::new();
+        let router = router_with_one_empty_shard(&fleet_tel);
         let frame = mpros_gateway::encode_request(&mpros_gateway::GatewayRequest::GetIcas).unwrap();
-        let back = router.handle_frame(frame).unwrap();
-        // The reply is a plain single-ship response frame, decodable by
-        // a v5-era gateway client.
-        let resp = mpros_gateway::decode_response(back).unwrap();
-        assert!(matches!(resp, mpros_gateway::GatewayResponse::Icas { .. }));
+        assert!(router.handle_frame(frame).is_err());
+        let counters = fleet_tel.snapshot();
+        assert_eq!(counters.counter("fleet", "bad_frames"), 1);
+        assert_eq!(counters.counter("fleet", "routed_ship_requests"), 0);
     }
 
     #[test]
     fn garbage_frames_count_as_bad() {
-        let router = router_with_one_empty_shard();
+        let router = router_with_one_empty_shard(&Telemetry::new());
         assert!(router
             .handle_frame(Bytes::copy_from_slice(b"nonsense"))
             .is_err());

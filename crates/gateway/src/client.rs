@@ -10,6 +10,7 @@
 use crate::proto::{self, GatewayRequest, GatewayResponse, StatusDelta};
 use crate::server::Gateway;
 use mpros_core::{Error, PrognosticVector, Result};
+use mpros_network::WireMessage;
 use mpros_pdme::icas::IcasMachine;
 use mpros_pdme::IcasSnapshot;
 use mpros_telemetry::{

@@ -16,13 +16,15 @@
 //!   on the control thread and published by pointer swap. Readers never
 //!   contend with the publisher beyond an `Arc` clone under a briefly
 //!   held read lock.
-//! * [`proto`] — the framed query protocol. Same wire discipline as
-//!   `mpros-network` (magic, version byte, type tag, length-prefixed
-//!   JSON payload; the framing helpers are shared), with request tags
-//!   in 32.. and response tags in 64.. so a gateway frame can never be
-//!   confused with ship-network traffic.
-//! * [`server`] / [`client`] — the [`server::Gateway`] router with
-//!   per-client sessions and bounded oldest-drop delta queues, and the
+//! * [`proto`] — the framed query protocol. Same wire discipline and
+//!   the same codec path as `mpros-network` (magic, version byte, type
+//!   tag, length-prefixed JSON payload), with request and response tags
+//!   from their own rows of `mpros_network::TAG_FAMILIES`, so a gateway
+//!   frame can never be confused with ship-network traffic.
+//! * [`session`] — [`session::SessionQueues`], the bounded oldest-drop
+//!   per-subscriber delta queues this gateway and the fleet router
+//!   share.
+//! * [`server`] / [`client`] — the [`server::Gateway`] router and the
 //!   [`client::GatewayClient`] that speaks the framed protocol against
 //!   it.
 //!
@@ -38,6 +40,7 @@
 pub mod client;
 pub mod proto;
 pub mod server;
+pub mod session;
 pub mod snapshot;
 
 pub use client::{DeltaBatch, GatewayClient, JournalPage, MetricsReport};
@@ -45,5 +48,6 @@ pub use proto::{
     decode_request, decode_response, encode_request, encode_response, DeltaKind, GatewayRequest,
     GatewayResponse, StatusDelta, GATEWAY_SCHEMA_VERSION,
 };
-pub use server::{Gateway, GatewayConfig};
+pub use server::{FrameHandler, Gateway, GatewayConfig};
+pub use session::{SessionQueues, FLEET_SESSION_QUEUE_CAPACITY};
 pub use snapshot::{PrognosticEntry, ServingSnapshot};

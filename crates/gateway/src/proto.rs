@@ -2,16 +2,17 @@
 //!
 //! Requests and responses ride the same frame layout as the ship
 //! network (`magic "MP" | version u8 | type u8 | payload_len u32 LE |
-//! JSON payload`, assembled and validated by
-//! [`mpros_network::codec::frame_payload`] /
-//! [`mpros_network::codec::deframe`]). Request type tags live in
-//! `32..64`, response tags in `64..96`; tags from the ship network's
-//! range (`1..=6`) and the fleet router's ranges (`96..128`) are
-//! rejected here, so a misrouted frame fails loudly instead of
+//! JSON payload`) and go through the one codec path,
+//! [`mpros_network::encode_body`] / [`mpros_network::decode_body`].
+//! Their tags come from the `GATEWAY_REQUEST` and `GATEWAY_RESPONSE`
+//! rows of [`mpros_network::TAG_FAMILIES`]; each decoder rejects every
+//! other family's tags, so a misrouted frame fails loudly instead of
 //! half-parsing.
 
 use bytes::Bytes;
-use mpros_core::{Error, PrognosticVector, Result};
+use mpros_core::{PrognosticVector, Result};
+use mpros_network::codec::{GATEWAY_REQUEST, GATEWAY_RESPONSE};
+use mpros_network::{decode_body, encode_body, TagFamily, WireMessage};
 use mpros_pdme::icas::IcasMachine;
 use mpros_pdme::IcasSnapshot;
 use mpros_telemetry::{
@@ -83,32 +84,34 @@ pub enum GatewayRequest {
     },
 }
 
-impl GatewayRequest {
-    /// Frame type tag (request range `32..`).
-    pub fn type_tag(&self) -> u8 {
+impl WireMessage for GatewayRequest {
+    const FAMILY: TagFamily = GATEWAY_REQUEST;
+    const KIND_COUNT: usize = Self::KINDS.len();
+
+    fn kind_index(&self) -> usize {
         match self {
-            GatewayRequest::GetMachineStatus { .. } => 32,
-            GatewayRequest::GetIcas => 33,
-            GatewayRequest::GetPrognosticVector { .. } => 34,
-            GatewayRequest::GetSloVerdict => 35,
-            GatewayRequest::GetCounters => 36,
-            GatewayRequest::Subscribe { .. } => 37,
-            GatewayRequest::GetMetrics => 38,
-            GatewayRequest::StreamJournal { .. } => 39,
-            GatewayRequest::ListIncidents => 40,
-            GatewayRequest::GetIncident { .. } => 41,
-            GatewayRequest::GetTrace { .. } => 42,
+            GatewayRequest::GetMachineStatus { .. } => 0,
+            GatewayRequest::GetIcas => 1,
+            GatewayRequest::GetPrognosticVector { .. } => 2,
+            GatewayRequest::GetSloVerdict => 3,
+            GatewayRequest::GetCounters => 4,
+            GatewayRequest::Subscribe { .. } => 5,
+            GatewayRequest::GetMetrics => 6,
+            GatewayRequest::StreamJournal { .. } => 7,
+            GatewayRequest::ListIncidents => 8,
+            GatewayRequest::GetIncident { .. } => 9,
+            GatewayRequest::GetTrace { .. } => 10,
         }
     }
+}
 
-    /// Number of request kinds (the tag range `32..32 + COUNT`); sizes
-    /// the gateway's per-request-type instrument tables.
-    pub const KIND_COUNT: usize = 11;
+const _: () = assert!(GATEWAY_REQUEST.fits(GatewayRequest::KIND_COUNT));
 
-    /// Every request kind name, indexed by `type_tag() - 32` — the
-    /// gateway pre-registers one `service_time` histogram per entry so
-    /// the serve path never touches the registry lock.
-    pub const KINDS: [&'static str; Self::KIND_COUNT] = [
+impl GatewayRequest {
+    /// Every request kind name, indexed by `kind_index()` — the gateway
+    /// pre-registers one `service_time` histogram per entry so the
+    /// serve path never touches the registry lock.
+    pub const KINDS: [&'static str; 11] = [
         "get_machine_status",
         "get_icas",
         "get_prognostic_vector",
@@ -125,19 +128,7 @@ impl GatewayRequest {
     /// Stable snake_case name of the request kind (used for the
     /// gateway's per-request `service_time` histograms).
     pub fn kind(&self) -> &'static str {
-        match self {
-            GatewayRequest::GetMachineStatus { .. } => "get_machine_status",
-            GatewayRequest::GetIcas => "get_icas",
-            GatewayRequest::GetPrognosticVector { .. } => "get_prognostic_vector",
-            GatewayRequest::GetSloVerdict => "get_slo_verdict",
-            GatewayRequest::GetCounters => "get_counters",
-            GatewayRequest::Subscribe { .. } => "subscribe",
-            GatewayRequest::GetMetrics => "get_metrics",
-            GatewayRequest::StreamJournal { .. } => "stream_journal",
-            GatewayRequest::ListIncidents => "list_incidents",
-            GatewayRequest::GetIncident { .. } => "get_incident",
-            GatewayRequest::GetTrace { .. } => "get_trace",
-        }
+        Self::KINDS[self.kind_index()]
     }
 }
 
@@ -282,25 +273,31 @@ pub enum GatewayResponse {
     },
 }
 
-impl GatewayResponse {
-    /// Frame type tag (response range `64..`).
-    pub fn type_tag(&self) -> u8 {
+impl WireMessage for GatewayResponse {
+    const FAMILY: TagFamily = GATEWAY_RESPONSE;
+    const KIND_COUNT: usize = 12;
+
+    fn kind_index(&self) -> usize {
         match self {
-            GatewayResponse::MachineStatus { .. } => 64,
-            GatewayResponse::Icas { .. } => 65,
-            GatewayResponse::PrognosticVector { .. } => 66,
-            GatewayResponse::SloVerdict { .. } => 67,
-            GatewayResponse::Counters { .. } => 68,
-            GatewayResponse::Deltas { .. } => 69,
-            GatewayResponse::NotFound { .. } => 70,
-            GatewayResponse::Metrics { .. } => 71,
-            GatewayResponse::Journal { .. } => 72,
-            GatewayResponse::Incidents { .. } => 73,
-            GatewayResponse::Incident { .. } => 74,
-            GatewayResponse::Trace { .. } => 75,
+            GatewayResponse::MachineStatus { .. } => 0,
+            GatewayResponse::Icas { .. } => 1,
+            GatewayResponse::PrognosticVector { .. } => 2,
+            GatewayResponse::SloVerdict { .. } => 3,
+            GatewayResponse::Counters { .. } => 4,
+            GatewayResponse::Deltas { .. } => 5,
+            GatewayResponse::NotFound { .. } => 6,
+            GatewayResponse::Metrics { .. } => 7,
+            GatewayResponse::Journal { .. } => 8,
+            GatewayResponse::Incidents { .. } => 9,
+            GatewayResponse::Incident { .. } => 10,
+            GatewayResponse::Trace { .. } => 11,
         }
     }
+}
 
+const _: () = assert!(GATEWAY_RESPONSE.fits(GatewayResponse::KIND_COUNT));
+
+impl GatewayResponse {
     /// The snapshot version stamped on the response.
     pub fn snapshot_version(&self) -> u64 {
         match self {
@@ -346,51 +343,22 @@ impl GatewayResponse {
 
 /// Encode a request into one wire frame.
 pub fn encode_request(req: &GatewayRequest) -> Result<Bytes> {
-    let payload = serde_json::to_vec(req)
-        .map_err(|e| Error::Encoding(format!("request serialization: {e}")))?;
-    mpros_network::frame_payload(req.type_tag(), &payload)
+    encode_body(req)
 }
 
-/// Decode one request frame. The declared type tag must match the
-/// decoded body, and must be a request tag.
+/// Decode one gateway request frame.
 pub fn decode_request(frame: Bytes) -> Result<GatewayRequest> {
-    let (tag, payload) = mpros_network::deframe(frame)?;
-    if !(32..64).contains(&tag) {
-        return Err(Error::Encoding(format!(
-            "type tag {tag} is not a gateway request"
-        )));
-    }
-    let req: GatewayRequest = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("request deserialization: {e}")))?;
-    if req.type_tag() != tag {
-        return Err(Error::Encoding("type tag does not match body".into()));
-    }
-    Ok(req)
+    decode_body(frame)
 }
 
 /// Encode a response into one wire frame.
 pub fn encode_response(resp: &GatewayResponse) -> Result<Bytes> {
-    let payload = serde_json::to_vec(resp)
-        .map_err(|e| Error::Encoding(format!("response serialization: {e}")))?;
-    mpros_network::frame_payload(resp.type_tag(), &payload)
+    encode_body(resp)
 }
 
-/// Decode one response frame. The declared type tag must match the
-/// decoded body, and must be a single-ship response tag (the fleet
-/// router's `96..` / `112..` tag spaces are rejected here).
+/// Decode one gateway response frame.
 pub fn decode_response(frame: Bytes) -> Result<GatewayResponse> {
-    let (tag, payload) = mpros_network::deframe(frame)?;
-    if !(64..96).contains(&tag) {
-        return Err(Error::Encoding(format!(
-            "type tag {tag} is not a gateway response"
-        )));
-    }
-    let resp: GatewayResponse = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("response deserialization: {e}")))?;
-    if resp.type_tag() != tag {
-        return Err(Error::Encoding("type tag does not match body".into()));
-    }
-    Ok(resp)
+    decode_body(frame)
 }
 
 #[cfg(test)]

@@ -10,22 +10,21 @@
 //! immutable snapshot. Neither side ever waits on the other for longer
 //! than a pointer swap, so serving load cannot stall the sim thread.
 //!
-//! Backpressure: subscription deltas are queued per session with a
-//! bounded capacity; a slow client that never polls loses its *oldest*
-//! deltas first (the same eviction policy as the network outbox) and is
-//! told how many were dropped on its next poll — fresh state always
-//! wins over stale history.
+//! Backpressure: subscription deltas are queued per session in the
+//! bounded oldest-drop [`SessionQueues`].
 
 use crate::proto::{GatewayRequest, GatewayResponse, StatusDelta};
+use crate::session::SessionQueues;
 use crate::snapshot::ServingSnapshot;
 use bytes::Bytes;
 use mpros_core::Result;
+use mpros_network::{decode_body, encode_body, WireMessage};
 use mpros_telemetry::{
     Counter, FlightRecorder, Histogram, HopRecord, Stage, Telemetry, TraceId, WallTimer,
 };
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, VecDeque};
+use parking_lot::RwLock;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Gateway tuning knobs, builder-style like the other MPROS configs.
 #[derive(Debug, Clone)]
@@ -56,30 +55,61 @@ impl GatewayConfig {
     }
 }
 
-/// One subscriber's server-side state.
-#[derive(Debug, Default)]
-struct SessionState {
-    /// Queued deltas, oldest first.
-    queue: VecDeque<StatusDelta>,
-    /// Deltas evicted since the session's last poll.
-    dropped_since_poll: u64,
+/// The frame-serving path both serving planes share: decode, answer,
+/// encode, count. Its instruments are registered once, so the serve
+/// path never touches the registry lock.
+#[derive(Debug)]
+pub struct FrameHandler {
+    /// `<component>.requests`: frames answered.
+    requests: Arc<Counter>,
+    /// `<component>.bad_frames`: frames that did not decode.
+    bad_frames: Arc<Counter>,
+    /// Wall-clock service time, one histogram per request kind.
+    service_time: Vec<Arc<Histogram>>,
+}
+
+impl FrameHandler {
+    /// Instruments in `component`, one service-time histogram per entry
+    /// of `kinds` (a request family's kind names, in index order).
+    pub fn new(telemetry: &Telemetry, component: &str, kinds: &[&str]) -> Self {
+        FrameHandler {
+            requests: telemetry.counter(component, "requests"),
+            bad_frames: telemetry.counter(component, "bad_frames"),
+            service_time: kinds
+                .iter()
+                .map(|kind| telemetry.histogram(component, &format!("service_time.{kind}.wall_s")))
+                .collect(),
+        }
+    }
+
+    /// Decode one request frame, answer it with `serve`, and encode the
+    /// answer; returns the response frame and the wall time spent.
+    pub fn handle<Q: WireMessage, R: WireMessage>(
+        &self,
+        frame: Bytes,
+        serve: impl FnOnce(&Q) -> R,
+    ) -> Result<(Bytes, Duration)> {
+        let timer = WallTimer::start();
+        let req: Q = decode_body(frame).inspect_err(|_| self.bad_frames.inc())?;
+        let out = encode_body(&serve(&req))?;
+        self.requests.inc();
+        let wall = timer.elapsed();
+        self.service_time[req.kind_index()].record(wall.as_secs_f64());
+        Ok((out, wall))
+    }
 }
 
 /// The query server. Shared as `Arc<Gateway>`: the publisher and every
 /// client thread hold clones of the same handle.
 #[derive(Debug)]
 pub struct Gateway {
-    config: GatewayConfig,
     /// The published snapshot. Writers swap the `Arc`; readers clone it.
     current: RwLock<Arc<ServingSnapshot>>,
-    /// Subscriber sessions, keyed by caller-chosen id. `BTreeMap` so
-    /// publish-time delta fan-out walks sessions in a fixed order.
-    sessions: Mutex<BTreeMap<u64, SessionState>>,
+    /// Subscriber sessions, keyed by caller-chosen id.
+    sessions: SessionQueues<StatusDelta>,
     telemetry: Telemetry,
-    /// Wall-clock service-time histograms, one per request kind
-    /// (indexed by `type_tag - 32`), pre-registered so the serve path
-    /// never touches the registry lock.
-    service_time: Vec<Arc<Histogram>>,
+    serving: FrameHandler,
+    publishes: Arc<Counter>,
     /// Exposition bytes shipped through `GetMetrics` responses.
     exposition_bytes: Arc<Counter>,
     /// The scenario's flight recorder, when one is attached; backs the
@@ -91,25 +121,15 @@ impl Gateway {
     /// A gateway joined to `telemetry`, serving the empty version-0
     /// snapshot until the first [`Gateway::publish`].
     pub fn new(config: GatewayConfig, telemetry: &Telemetry) -> Self {
-        let service_time = GatewayRequest::KINDS
-            .iter()
-            .map(|kind| telemetry.histogram("gateway", &format!("service_time.{kind}.wall_s")))
-            .collect();
-        let exposition_bytes = telemetry.counter("gateway", "exposition_bytes");
         Gateway {
-            config,
             current: RwLock::new(Arc::new(ServingSnapshot::empty())),
-            sessions: Mutex::new(BTreeMap::new()),
+            sessions: SessionQueues::new(config.session_queue_capacity, telemetry, "gateway"),
             telemetry: telemetry.clone(),
-            service_time,
-            exposition_bytes,
+            serving: FrameHandler::new(telemetry, "gateway", &GatewayRequest::KINDS),
+            publishes: telemetry.counter("gateway", "publishes"),
+            exposition_bytes: telemetry.counter("gateway", "exposition_bytes"),
             recorder: None,
         }
-    }
-
-    /// The configuration the gateway was built with.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
     }
 
     /// Attach the scenario's flight recorder. Called at wiring time,
@@ -137,7 +157,7 @@ impl Gateway {
 
     /// Registered subscriber sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
+        self.sessions.session_count()
     }
 
     /// Publish a freshly built snapshot: fan its edge-triggered
@@ -147,25 +167,9 @@ impl Gateway {
     pub fn publish(&self, snapshot: ServingSnapshot) {
         let prev = self.snapshot();
         let deltas = snapshot.deltas_since(&prev);
-        let next = Arc::new(snapshot);
-        if !deltas.is_empty() {
-            let mut sessions = self.sessions.lock();
-            let drops = self.telemetry.counter("gateway", "drops");
-            let queued = self.telemetry.counter("gateway", "deltas_queued");
-            for state in sessions.values_mut() {
-                for delta in &deltas {
-                    while state.queue.len() >= self.config.session_queue_capacity {
-                        state.queue.pop_front();
-                        state.dropped_since_poll += 1;
-                        drops.inc();
-                    }
-                    state.queue.push_back(delta.clone());
-                    queued.inc();
-                }
-            }
-        }
-        *self.current.write() = next;
-        self.telemetry.counter("gateway", "publishes").inc();
+        self.sessions.publish(&deltas);
+        *self.current.write() = Arc::new(snapshot);
+        self.publishes.inc();
     }
 
     /// Serve one request against the current snapshot. Pure with
@@ -224,10 +228,7 @@ impl Gateway {
                 counters: snap.counters.clone(),
             },
             GatewayRequest::Subscribe { session } => {
-                let mut sessions = self.sessions.lock();
-                let state = sessions.entry(*session).or_default();
-                let dropped = std::mem::take(&mut state.dropped_since_poll);
-                let deltas: Vec<StatusDelta> = state.queue.drain(..).collect();
+                let (dropped, deltas) = self.sessions.drain(*session);
                 GatewayResponse::Deltas {
                     snapshot_version,
                     session: *session,
@@ -312,24 +313,14 @@ impl Gateway {
     /// seconds for the *staleness* of the data served (simulated now
     /// minus the snapshot's timestamp).
     pub fn handle_frame(&self, frame: Bytes) -> Result<Bytes> {
-        let timer = WallTimer::start();
-        let req = match crate::proto::decode_request(frame) {
-            Ok(req) => req,
-            Err(e) => {
-                self.telemetry.counter("gateway", "bad_frames").inc();
-                return Err(e);
-            }
-        };
         let snap = self.snapshot();
-        let resp = self.serve_on(&snap, &req);
-        let out = crate::proto::encode_response(&resp)?;
-        self.telemetry.counter("gateway", "requests").inc();
+        let (out, wall) = self
+            .serving
+            .handle(frame, |req: &GatewayRequest| self.serve_on(&snap, req))?;
         let staleness = self
             .telemetry
             .sim_now()
             .since(mpros_core::SimTime::from_secs(snap.at_secs));
-        let wall = timer.elapsed();
-        self.service_time[(req.type_tag() - 32) as usize].record(wall.as_secs_f64());
         self.telemetry
             .record_span(Stage::GatewayServe, wall, staleness);
         Ok(out)

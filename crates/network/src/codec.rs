@@ -9,31 +9,118 @@
 //! Payloads are JSON-serialized message bodies — self-describing and
 //! diff-able in logs, which is what an open protocol for "many diverse
 //! expert systems" (§7.1) needs more than raw compactness.
+//!
+//! Five message families share the header: ship network messages, and
+//! the gateway's and fleet router's requests and responses. Each owns
+//! one range of type tags in [`TAG_FAMILIES`], and every family encodes
+//! and decodes through [`encode_body`] / [`decode_body`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mpros_core::{ConditionReport, DcId, Error, MachineId, Result};
 use mpros_telemetry::TraceContext;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 const MAGIC: [u8; 2] = *b"MP";
-/// Wire version. v6 added the fleet router's tag spaces (`mpros-fleet`
-/// claims 96..112 for fleet requests and 112..128 for fleet responses,
-/// framed through [`frame_payload`] / [`deframe`] like everything
-/// else); v5 grew the gateway tag ranges with the observability plane
-/// (`GetMetrics`/`StreamJournal`/`ListIncidents`/`GetIncident`/
-/// `GetTrace` requests 38–42 and their responses 71–75); v4 opened the
-/// header to the gateway query protocol (`mpros-gateway` claims the
-/// type-tag ranges 32..64 for requests and 64..96 for responses and
-/// frames them through [`frame_payload`] / [`deframe`]); v3 added the
+/// Wire version. v7 made [`TAG_FAMILIES`] the one tag allocator and
+/// dropped the fleet router's forwarding of single-ship request frames;
+/// v6 added the fleet request and response families; v5 grew the
+/// gateway families with the observability plane (`GetMetrics`,
+/// `StreamJournal`, `ListIncidents`, `GetIncident`, `GetTrace`); v4
+/// opened the header to the gateway query protocol; v3 added the
 /// per-report [`TraceContext`] on batch entries; v2 added the batch
 /// restart `epoch` and the `Ack` message. Older peers are rejected
 /// rather than mis-parsed.
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 const VERSION: u8 = WIRE_VERSION;
 /// Frames larger than this are rejected (corrupted length field guard).
 const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 /// Reports per batch frame; larger batches must be split by the sender.
 pub const MAX_BATCH: usize = 1024;
+
+/// One message family's slice of the frame type-tag space.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TagFamily {
+    /// Human-readable family name, used in decode errors.
+    pub name: &'static str,
+    /// The family's tags, half-open.
+    pub tags: Range<u8>,
+}
+
+impl TagFamily {
+    const fn new(name: &'static str, tags: Range<u8>) -> Self {
+        TagFamily { name, tags }
+    }
+
+    /// Whether `kind_count` variants fit in the family's range.
+    pub const fn fits(&self, kind_count: usize) -> bool {
+        kind_count <= (self.tags.end - self.tags.start) as usize
+    }
+}
+
+/// Ship network messages ([`NetMessage`]).
+pub const SHIP: TagFamily = TagFamily::new("ship message", 1..32);
+/// Gateway requests (`mpros_gateway::GatewayRequest`).
+pub const GATEWAY_REQUEST: TagFamily = TagFamily::new("gateway request", 32..64);
+/// Gateway responses (`mpros_gateway::GatewayResponse`).
+pub const GATEWAY_RESPONSE: TagFamily = TagFamily::new("gateway response", 64..96);
+/// Fleet router requests (`mpros_fleet::FleetRequest`).
+pub const FLEET_REQUEST: TagFamily = TagFamily::new("fleet request", 96..112);
+/// Fleet router responses (`mpros_fleet::FleetResponse`).
+pub const FLEET_RESPONSE: TagFamily = TagFamily::new("fleet response", 112..128);
+
+/// Every message family sharing the one frame header, in tag order.
+/// This table is the only tag allocator: a family's decoder accepts
+/// exactly its own range, so the ranges must never overlap.
+pub const TAG_FAMILIES: [TagFamily; 5] = [
+    SHIP,
+    GATEWAY_REQUEST,
+    GATEWAY_RESPONSE,
+    FLEET_REQUEST,
+    FLEET_RESPONSE,
+];
+
+// Every family is non-empty and starts at or after the previous one's
+// end, so no tag belongs to two families.
+const _: () = {
+    let mut i = 0;
+    while i < TAG_FAMILIES.len() {
+        let tags = &TAG_FAMILIES[i].tags;
+        assert!(tags.start < tags.end, "empty tag family");
+        if i > 0 {
+            assert!(
+                TAG_FAMILIES[i - 1].tags.end <= tags.start,
+                "tag families overlap"
+            );
+        }
+        i += 1;
+    }
+};
+
+/// A message enum carried on the wire: one family of tags, one variant
+/// per tag. Each implementor pins `FAMILY.fits(KIND_COUNT)` with a
+/// `const` assertion, so a variant can leave its range only by editing
+/// [`TAG_FAMILIES`].
+pub trait WireMessage: Serialize + Deserialize {
+    /// The family whose range this message's tags come from.
+    const FAMILY: TagFamily;
+    /// Number of variants.
+    const KIND_COUNT: usize;
+
+    /// The variant's index, `0..KIND_COUNT`.
+    fn kind_index(&self) -> usize;
+
+    /// Frame type tag: the family's base plus the variant's index.
+    fn type_tag(&self) -> u8 {
+        Self::FAMILY.tags.start + self.kind_index() as u8
+    }
+
+    /// Well-formedness beyond what serde checks, run on both encode
+    /// and decode.
+    fn validate(&self) -> Result<()> {
+        Ok(())
+    }
+}
 
 /// One entry of a [`NetMessage::ReportBatch`]: a report tagged with the
 /// originating DC's emission sequence number. Sequence numbers are
@@ -109,18 +196,30 @@ pub enum NetMessage {
     },
 }
 
-impl NetMessage {
-    fn type_tag(&self) -> u8 {
+impl WireMessage for NetMessage {
+    const FAMILY: TagFamily = SHIP;
+    const KIND_COUNT: usize = 6;
+
+    fn kind_index(&self) -> usize {
         match self {
-            NetMessage::Report(_) => 1,
-            NetMessage::RunTest { .. } => 2,
-            NetMessage::DownloadSbfr { .. } => 3,
-            NetMessage::Heartbeat { .. } => 4,
-            NetMessage::ReportBatch { .. } => 5,
-            NetMessage::Ack { .. } => 6,
+            NetMessage::Report(_) => 0,
+            NetMessage::RunTest { .. } => 1,
+            NetMessage::DownloadSbfr { .. } => 2,
+            NetMessage::Heartbeat { .. } => 3,
+            NetMessage::ReportBatch { .. } => 4,
+            NetMessage::Ack { .. } => 5,
+        }
+    }
+
+    fn validate(&self) -> Result<()> {
+        match self {
+            NetMessage::ReportBatch { entries, .. } => validate_batch(entries),
+            _ => Ok(()),
         }
     }
 }
+
+const _: () = assert!(SHIP.fits(NetMessage::KIND_COUNT));
 
 /// Batch well-formedness: bounded size and strictly increasing sequence
 /// numbers (which also rules out duplicates). Empty batches are legal —
@@ -143,12 +242,8 @@ fn validate_batch(entries: &[BatchEntry]) -> Result<()> {
     Ok(())
 }
 
-/// Assemble one wire frame around an already-serialized payload.
-///
-/// This is the framing half of the codec, shared with `mpros-gateway`:
-/// every protocol speaking the MPROS wire discipline frames payloads
-/// through here so the header layout, version byte and length cap stay
-/// identical across message families.
+/// Assemble one wire frame around an already-serialized payload: the
+/// header layout, version byte and length cap every family shares.
 pub fn frame_payload(tag: u8, payload: &[u8]) -> Result<Bytes> {
     if payload.len() > MAX_PAYLOAD {
         return Err(Error::Encoding(format!(
@@ -168,7 +263,7 @@ pub fn frame_payload(tag: u8, payload: &[u8]) -> Result<Bytes> {
 /// Strip and validate a frame header; returns the declared type tag and
 /// the payload bytes. Rejects bad magic, foreign versions, oversized or
 /// mismatched lengths — the caller only deserializes what survived.
-pub fn deframe(mut frame: Bytes) -> Result<(u8, Bytes)> {
+fn deframe(mut frame: Bytes) -> Result<(u8, Bytes)> {
     if frame.len() < 8 {
         return Err(Error::Encoding("frame shorter than header".into()));
     }
@@ -197,31 +292,44 @@ pub fn deframe(mut frame: Bytes) -> Result<(u8, Bytes)> {
     Ok((tag, frame))
 }
 
-/// Encode a message into one frame.
-pub fn encode_message(msg: &NetMessage) -> Result<Bytes> {
-    if let NetMessage::ReportBatch { entries, .. } = msg {
-        validate_batch(entries)?;
-    }
+/// Encode any wire message into one frame: validate, serialize the JSON
+/// body, stamp the variant's tag.
+pub fn encode_body<M: WireMessage>(msg: &M) -> Result<Bytes> {
+    msg.validate()?;
     let payload = serde_json::to_vec(msg)
-        .map_err(|e| Error::Encoding(format!("payload serialization: {e}")))?;
+        .map_err(|e| Error::Encoding(format!("{} serialization: {e}", M::FAMILY.name)))?;
     frame_payload(msg.type_tag(), &payload)
 }
 
-/// Decode one frame. The declared type tag must match the decoded body
-/// (defense against frame corruption).
-pub fn decode_message(frame: Bytes) -> Result<NetMessage> {
+/// Decode one frame of family `M`. The tag must lie in `M`'s range (so
+/// a misrouted frame fails before its body is parsed), and must match
+/// the decoded body (defense against frame corruption).
+pub fn decode_body<M: WireMessage>(frame: Bytes) -> Result<M> {
     let (tag, payload) = deframe(frame)?;
-    let msg: NetMessage = serde_json::from_slice(&payload)
-        .map_err(|e| Error::Encoding(format!("payload deserialization: {e}")))?;
+    if !M::FAMILY.tags.contains(&tag) {
+        return Err(Error::Encoding(format!(
+            "type tag {tag} is not a {}",
+            M::FAMILY.name
+        )));
+    }
+    let msg: M = serde_json::from_slice(&payload)
+        .map_err(|e| Error::Encoding(format!("{} deserialization: {e}", M::FAMILY.name)))?;
     if msg.type_tag() != tag {
         return Err(Error::Encoding("type tag does not match body".into()));
     }
-    if let NetMessage::ReportBatch { entries, .. } = &msg {
-        validate_batch(entries)?;
-    }
+    msg.validate()?;
     Ok(msg)
 }
 
+/// Encode a ship network message into one frame.
+pub fn encode_message(msg: &NetMessage) -> Result<Bytes> {
+    encode_body(msg)
+}
+
+/// Decode one ship network frame.
+pub fn decode_message(frame: Bytes) -> Result<NetMessage> {
+    decode_body(frame)
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,83 +480,31 @@ mod tests {
         assert!(encode_message(&over).is_err());
     }
 
-    /// v1 peers frame batches without an epoch; they must be rejected
-    /// at the version byte, not mis-parsed.
+    /// Every older wire version is refused on the version byte before
+    /// serde can mis-parse or mis-default a body: v1 batches lack the
+    /// epoch, v2 entries the trace context; v3 predates the gateway
+    /// families, v4 the observability tags, v5 the fleet families, and
+    /// v6 peers still send single-ship frames to the fleet router.
     #[test]
-    fn v1_frames_are_rejected_by_version() {
-        let payload = br#"{"ReportBatch":{"dc":2,"entries":[]}}"#.to_vec();
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"MP");
-        buf.put_u8(1);
-        buf.put_u8(5);
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_slice(&payload);
-        let err = decode_message(buf.freeze()).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    /// v2 peers frame batch entries without a trace context; the
-    /// version byte rejects them before serde can mis-default fields.
-    #[test]
-    fn v2_frames_are_rejected_by_version() {
-        let payload = br#"{"ReportBatch":{"dc":2,"epoch":0,"entries":[]}}"#.to_vec();
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"MP");
-        buf.put_u8(2);
-        buf.put_u8(5);
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_slice(&payload);
-        let err = decode_message(buf.freeze()).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    /// v3 peers predate the gateway tag ranges; the version byte
-    /// rejects them so a v3 node never half-speaks the v4 protocol.
-    #[test]
-    fn v3_frames_are_rejected_by_version() {
-        let payload = br#"{"Heartbeat":{"dc":2,"at_secs":1.0}}"#.to_vec();
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"MP");
-        buf.put_u8(3);
-        buf.put_u8(4);
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_slice(&payload);
-        let err = decode_message(buf.freeze()).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    /// v4 peers predate the observability tag ranges; the version byte
-    /// rejects them so a v4 gateway never half-speaks the v5 protocol
-    /// (a v4 `GetCounters` frame is shown here, but any v4 frame fails
-    /// the same check).
-    #[test]
-    fn v4_frames_are_rejected_by_version() {
-        let payload = br#""GetCounters""#.to_vec();
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"MP");
-        buf.put_u8(4);
-        buf.put_u8(36);
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_slice(&payload);
-        let err = decode_message(buf.freeze()).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    /// v5 peers predate the fleet router's tag spaces; the version byte
-    /// rejects them so a v5 gateway never half-speaks the v6 protocol
-    /// (a v5 `GetIcas` frame is shown here, but any v5 frame fails the
-    /// same check).
-    #[test]
-    fn v5_frames_are_rejected_by_version() {
-        let payload = br#""GetIcas""#.to_vec();
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"MP");
-        buf.put_u8(5);
-        buf.put_u8(33);
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_slice(&payload);
-        let err = decode_message(buf.freeze()).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+    fn older_wire_versions_are_rejected_by_version() {
+        let frames: [(u8, u8, &[u8]); 6] = [
+            (1, 5, br#"{"ReportBatch":{"dc":2,"entries":[]}}"#),
+            (2, 5, br#"{"ReportBatch":{"dc":2,"epoch":0,"entries":[]}}"#),
+            (3, 4, br#"{"Heartbeat":{"dc":2,"at_secs":1.0}}"#),
+            (4, 36, br#""GetCounters""#),
+            (5, 33, br#""GetIcas""#),
+            (6, 96, br#""ListShips""#),
+        ];
+        for (version, tag, payload) in frames {
+            let mut buf = BytesMut::new();
+            buf.put_slice(b"MP");
+            buf.put_u8(version);
+            buf.put_u8(tag);
+            buf.put_u32_le(payload.len() as u32);
+            buf.put_slice(payload);
+            let err = decode_message(buf.freeze()).unwrap_err();
+            assert!(err.to_string().contains("version"), "v{version}: {err}");
+        }
     }
 
     #[test]

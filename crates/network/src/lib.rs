@@ -19,7 +19,7 @@ pub mod outbox;
 
 pub use bus::{Endpoint, Envelope, NetStats, NetworkConfig, ShipNetwork};
 pub use codec::{
-    decode_message, deframe, encode_message, frame_payload, BatchEntry, NetMessage, MAX_BATCH,
-    WIRE_VERSION,
+    decode_body, decode_message, encode_body, encode_message, frame_payload, BatchEntry,
+    NetMessage, TagFamily, WireMessage, MAX_BATCH, TAG_FAMILIES, WIRE_VERSION,
 };
 pub use outbox::OutboxConfig;

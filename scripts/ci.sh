@@ -35,7 +35,7 @@ cargo test --release -q --test parallel_determinism
 # The flight recorder's determinism contract, in release: a faulted run
 # seals incident bundles (and serves a Prometheus exposition) that are
 # byte-identical across exec modes and across a WAL crash-restore, all
-# fetched through the wire-v5 gateway protocol.
+# fetched through the gateway wire protocol.
 echo "==> incident determinism, release"
 cargo test --release -q --test incident_replay
 
@@ -57,8 +57,8 @@ cargo test --release -q --test wal_torn_write
 # The fleet-plane contract, in release: fleet responses are pure
 # functions of (fleet version, request) — byte-identical across exec
 # modes, shard-visit interleavings and one-thread-per-shard stepping —
-# ship 0's bytes are independent of fleet size via the compat path, and
-# crashing a shard degrades only that shard.
+# ship 0's bytes (fetched through ForShip) are independent of fleet
+# size, and crashing a shard degrades only that shard.
 echo "==> fleet serving determinism, release"
 cargo test --release -q --test fleet_serving
 
@@ -87,13 +87,6 @@ cargo run --release -p mpros-bench --bin exp_throughput -- --workers 4
 # fleet{} into BENCH_throughput.json so perf_gate below judges them.
 echo "==> exp_serving"
 cargo run --release -p mpros-bench --bin exp_serving
-
-# Wire-tag compatibility lint: every codec family (ship messages,
-# gateway requests/responses, fleet requests/responses) must stay in
-# its reserved tag range, tags must be globally unique, and each
-# family's decoder must reject the other families' frames.
-echo "==> wire_compat_lint"
-cargo run --release -p mpros-bench --bin wire_compat_lint
 
 # Exposition-format lint: the Prometheus text the gateway serves must
 # obey its own grammar (headers, _total suffixes, sorted unique

@@ -6,7 +6,7 @@
 //! then routes `GetMetrics`, `StreamJournal` and `ListIncidents` to the
 //! focused ship through `ForShip` (rendered with the same `dashboard`
 //! code the in-process monitoring example uses). Nothing here reads
-//! engine state directly — every byte crosses the framed wire-v6
+//! engine state directly — every byte crosses the framed fleet
 //! protocol, so this binary doubles as an end-to-end smoke test of the
 //! fleet observability plane.
 //!
@@ -20,6 +20,7 @@
 //! until the scenario finishes.
 
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
+use mpros::network::{WireMessage, WIRE_VERSION};
 use mpros::prelude::*;
 use mpros::telemetry::dashboard;
 use mpros::telemetry::{TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION};
@@ -265,7 +266,7 @@ fn main() {
         }
         let _ = writeln!(
             out,
-            "exposition: {} bytes served over wire v6 (fleet v{})",
+            "exposition: {} bytes served over wire v{WIRE_VERSION} (fleet v{})",
             metrics.exposition.len(),
             rollup.fleet_version
         );

@@ -35,10 +35,10 @@ pub use mpros_gateway::{
 };
 
 // The fleet plane: sharded multi-ship simulation behind one routing
-// gateway with a fleet-wide knowledge rollup (wire v6).
+// gateway with a fleet-wide knowledge rollup.
 pub use mpros_fleet::{
-    Fleet, FleetClient, FleetConfig, FleetDeltaBatch, FleetGateway, FleetGatewayConfig,
-    FleetRequest, FleetResponse, FleetRollup, FleetSnapshot, RollupReport, ShipDelta, ShipInfo,
+    Fleet, FleetClient, FleetConfig, FleetDeltaBatch, FleetGateway, FleetRequest, FleetResponse,
+    FleetRollup, FleetSnapshot, RollupReport, ShipDelta, ShipInfo,
 };
 
 // ICAS interchange documents served by the gateway.

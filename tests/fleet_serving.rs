@@ -21,7 +21,7 @@ use mpros::core::{DcId, FaultPlan, MachineCondition, SimDuration, SimTime};
 use mpros::fleet::{
     decode_fleet_response, encode_fleet_request, Fleet, FleetConfig, FleetRequest, FleetResponse,
 };
-use mpros::gateway::{encode_request, GatewayRequest};
+use mpros::gateway::GatewayRequest;
 use mpros::sim::{ExecMode, ShipboardSimConfig};
 use mpros::telemetry::SloPolicy;
 
@@ -231,8 +231,8 @@ fn fleet_responses_are_byte_identical_across_exec_modes_and_interleavings() {
 fn ship_zero_bytes_are_independent_of_fleet_size() {
     // Ship seeds derive from (fleet seed, ship id) alone, so ship 0
     // must serve identical bytes alone and in company. Drive the
-    // comparison over the v5 compatibility path: raw single-ship frames
-    // route to shard 0 of either fleet.
+    // comparison through `ForShip { ship: 0, .. }` frames; both fleets
+    // step equally often, so their fleet versions agree too.
     let mut solo = build_fleet(ExecMode::Sequential, false);
     // build_fleet configures three ships; rebuild the same scenario at
     // one ship (the ship-1 fault plan simply has no shard to bind to).
@@ -277,19 +277,27 @@ fn ship_zero_bytes_are_independent_of_fleet_size() {
         GatewayRequest::GetSloVerdict,
         GatewayRequest::GetMachineStatus { machine: 1 },
     ] {
-        let frame = encode_request(&req).expect("request encodes");
+        let frame = encode_fleet_request(&FleetRequest::ForShip {
+            ship: 0,
+            request: req.clone(),
+        })
+        .expect("request encodes");
         let in_company = solo
             .gateway()
             .handle_frame(frame.clone())
-            .expect("company serves")
-            .to_vec();
+            .expect("company serves");
+        assert!(matches!(
+            decode_fleet_response(in_company.clone()),
+            Ok(FleetResponse::ShipReply { ship: 0, .. })
+        ));
         let while_alone = alone
             .gateway()
             .handle_frame(frame)
             .expect("solo serves")
             .to_vec();
         assert_eq!(
-            in_company, while_alone,
+            in_company.to_vec(),
+            while_alone,
             "ship 0 bytes depend on fleet size for {req:?}"
         );
     }

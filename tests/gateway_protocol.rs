@@ -1,9 +1,10 @@
 //! Gateway and fleet wire protocol: every request and response variant
 //! of both tag families must survive the frame codec bit for bit, and
 //! malformed input — truncated frames, corrupted headers, frames from a
-//! sibling family's tag range, frames stamped with a stale wire version —
-//! must be rejected, never half-parsed. Mirrors
-//! `tests/protocol_roundtrip.rs` for the serving plane.
+//! sibling family's tag range, frames stamped with a stale wire version,
+//! arbitrary payload bytes — must be rejected, never half-parsed and
+//! never a panic. Mirrors `tests/protocol_roundtrip.rs` for the serving
+//! plane.
 
 use mpros::core::PrognosticVector;
 use mpros::fleet::{
@@ -15,7 +16,7 @@ use mpros::gateway::{
     decode_request, decode_response, encode_request, encode_response, DeltaKind, GatewayRequest,
     GatewayResponse, StatusDelta,
 };
-use mpros::network::decode_message;
+use mpros::network::{decode_message, frame_payload, TAG_FAMILIES};
 use mpros::pdme::icas::{IcasCondition, IcasDc, IcasMachine, IcasSnapshot, ICAS_SCHEMA_VERSION};
 use mpros::telemetry::{
     CounterDelta, CounterSnapshot, EventSnapshot, GaugeSample, GaugeSnapshot, HistogramSnapshot,
@@ -686,16 +687,21 @@ proptest! {
     }
 
     #[test]
-    fn wire_v4_frames_are_rejected_by_version_byte(req in arb_request(), resp in arb_response()) {
-        // The observability tags (GetMetrics and friends) only exist in
-        // wire v5; a peer still speaking v4 must be refused outright on
-        // the version byte (index 2, after the 2-byte magic), never
-        // best-effort parsed.
+    fn wire_v4_frames_are_rejected_by_version_byte(
+        req in arb_request(),
+        resp in arb_response(),
+        stale in prop_oneof![Just(4u8), Just(6u8)],
+    ) {
+        // The observability tags (GetMetrics and friends) only exist
+        // from wire v5, and v6 peers still expect the fleet router to
+        // forward single-ship frames; a peer speaking either must be
+        // refused outright on the version byte (index 2, after the
+        // 2-byte magic), never best-effort parsed.
         let mut bytes = encode_request(&req).unwrap().to_vec();
-        bytes[2] = 4;
+        bytes[2] = stale;
         prop_assert!(decode_request(bytes::Bytes::from(bytes)).is_err());
         let mut bytes = encode_response(&resp).unwrap().to_vec();
-        bytes[2] = 4;
+        bytes[2] = stale;
         prop_assert!(decode_response(bytes::Bytes::from(bytes)).is_err());
     }
 
@@ -763,20 +769,22 @@ proptest! {
     fn wire_v5_frames_are_rejected_by_version_byte(
         req in arb_fleet_request(),
         resp in arb_fleet_response(),
+        stale in prop_oneof![Just(5u8), Just(6u8)],
     ) {
-        // The fleet tags (ListShips and friends) only exist in wire v6;
-        // a peer still speaking v5 must be refused outright on the
-        // version byte (index 2, after the 2-byte magic), never
-        // best-effort parsed — and the single-ship decoders moved to v6
-        // with the same cut.
+        // The fleet tags (ListShips and friends) only exist from wire
+        // v6, and v6 peers still expect the fleet router to forward
+        // single-ship frames; a peer speaking either must be refused
+        // outright on the version byte (index 2, after the 2-byte
+        // magic), never best-effort parsed — and the single-ship
+        // decoders share the same cut.
         let mut bytes = encode_fleet_request(&req).unwrap().to_vec();
-        bytes[2] = 5;
+        bytes[2] = stale;
         prop_assert!(decode_fleet_request(bytes::Bytes::from(bytes)).is_err());
         let mut bytes = encode_fleet_response(&resp).unwrap().to_vec();
-        bytes[2] = 5;
+        bytes[2] = stale;
         prop_assert!(decode_fleet_response(bytes::Bytes::from(bytes)).is_err());
         let mut bytes = encode_request(&GatewayRequest::GetIcas).unwrap().to_vec();
-        bytes[2] = 5;
+        bytes[2] = stale;
         prop_assert!(decode_request(bytes::Bytes::from(bytes)).is_err());
     }
 
@@ -800,4 +808,69 @@ proptest! {
             prop_assert!(decode_fleet_response(frame).is_err());
         }
     }
+
+    #[test]
+    fn every_decoder_is_total_over_arbitrary_payloads(
+        family in 0usize..TAG_FAMILIES.len(),
+        offset in 0u8..=255,
+        payload in prop_oneof![
+            proptest::collection::vec(0u8..=255, 0..=4096),
+            arb_json_fragments(),
+        ],
+    ) {
+        // A valid header with an in-range tag over arbitrary payload
+        // bytes. Every decoder must answer `Ok` or `Err`, never panic,
+        // and every decoder but the tag's own family must refuse it.
+        let tags = &TAG_FAMILIES[family].tags;
+        let tag = tags.start + offset % (tags.end - tags.start);
+        let frame = frame_payload(tag, &payload).unwrap();
+        // In `TAG_FAMILIES` order.
+        let accepted = [
+            decode_message(frame.clone()).is_ok(),
+            decode_request(frame.clone()).is_ok(),
+            decode_response(frame.clone()).is_ok(),
+            decode_fleet_request(frame.clone()).is_ok(),
+            decode_fleet_response(frame).is_ok(),
+        ];
+        for (other, ok) in accepted.into_iter().enumerate() {
+            prop_assert!(other == family || !ok, "tag {} accepted by family {}", tag, other);
+        }
+    }
+}
+
+/// Payloads stitched from JSON tokens and the protocols' own variant
+/// and field names, so arbitrary input reaches past the first parse
+/// error into the body decoders.
+fn arb_json_fragments() -> impl Strategy<Value = Vec<u8>> {
+    const TOKENS: [&str; 22] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "0",
+        "-1",
+        "1e999",
+        "18446744073709551616",
+        "null",
+        "true",
+        "\"\\u0000\"",
+        "\"GetIcas\"",
+        "\"ForShip\"",
+        "\"ReportBatch\"",
+        "\"ShipReply\"",
+        "\"entries\"",
+        "\"machine\"",
+        "\"request\"",
+        "\"seq\"",
+    ];
+    proptest::collection::vec(0usize..TOKENS.len(), 0..64).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|i| TOKENS[i])
+            .collect::<String>()
+            .into_bytes()
+    })
 }
