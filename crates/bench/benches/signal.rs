@@ -1,5 +1,6 @@
 //! DSP substrate benches: the per-block costs behind the E7 throughput
-//! numbers (FFT, spectrum, envelope chain, §6.2 feature vector).
+//! numbers (complex and real-input FFT, spectrum, envelope chain, §6.2
+//! feature vector).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mpros_signal::envelope::bandpass_envelope;
@@ -7,6 +8,7 @@ use mpros_signal::features::{FeatureConfig, FeatureVector};
 use mpros_signal::fft::FftPlan;
 use mpros_signal::spectrum::Spectrum;
 use mpros_signal::window::Window;
+use mpros_signal::DspContext;
 use std::hint::black_box;
 
 fn tone_block(n: usize) -> Vec<f64> {
@@ -34,12 +36,36 @@ fn bench_fft(c: &mut Criterion) {
                 plan.forward(black_box(&mut buf)).expect("sized buffer");
             });
         });
+        group.bench_with_input(BenchmarkId::new("forward_real", n), &n, |b, _| {
+            let mut buf = Vec::with_capacity(n);
+            b.iter(|| {
+                plan.forward_real_into(black_box(&block), &mut buf)
+                    .expect("sized buffer");
+            });
+        });
     }
     group.finish();
 }
 
 fn bench_spectrum_and_envelope(c: &mut Criterion) {
     let block = tone_block(32_768);
+    // The DLI's bearing chain through a warm context: band-pass
+    // envelope, AC coupling and the Hann spectrum of the envelope.
+    let mut ctx = DspContext::new();
+    let mut env_spec = Spectrum::default();
+    c.bench_function("envelope_spectrum_32k", |b| {
+        b.iter(|| {
+            ctx.envelope_spectrum_into(
+                black_box(&block),
+                16_384.0,
+                1_800.0,
+                3_000.0,
+                Window::Hann,
+                &mut env_spec,
+            )
+            .expect("valid")
+        })
+    });
     c.bench_function("spectrum_32k_hann", |b| {
         b.iter(|| {
             black_box(Spectrum::compute(black_box(&block), 16_384.0, Window::Hann).expect("valid"))

@@ -40,6 +40,7 @@ use mpros_dli::{DliExpertSystem, SpectralFeatures, SurveyScratch};
 use mpros_network::{Endpoint, Envelope, NetMessage, NetStats, NetworkConfig, ShipNetwork};
 use mpros_pdme::PdmeExecutive;
 use mpros_signal::dwt::{Wavelet, WaveletDecomposition};
+use mpros_signal::features::WaveformStats;
 use mpros_signal::fft::{fft_real, ifft_real};
 use mpros_signal::{DspContext, Spectrum, Window};
 use mpros_store::{RecoveryManager, StoreHandle, FRAME_HEADER_LEN, FRAME_TRAILER_LEN};
@@ -363,14 +364,24 @@ fn dsp_bench() -> DspBench {
     }
     let synthesize_per_s = iters as f64 / start.elapsed().as_secs_f64();
 
-    // Full 5-channel survey extraction through the reusable context.
+    // Full 5-channel survey extraction through the reusable context,
+    // including the per-block waveform statistics a DC computes first.
     let mut scratch = SurveyScratch::default();
     let mut features = SpectralFeatures::default();
+    let mut block_stats = Vec::with_capacity(survey.blocks.len());
     let mut samples = Vec::with_capacity(24);
     for _ in 0..24 {
         let start = Instant::now();
-        SpectralFeatures::extract_into(&mut ctx, &survey, &mut scratch, &mut features)
-            .expect("extractable");
+        block_stats.clear();
+        block_stats.extend(survey.blocks.iter().map(|(_, b)| WaveformStats::of(b)));
+        SpectralFeatures::extract_into(
+            &mut ctx,
+            &survey,
+            &block_stats,
+            &mut scratch,
+            &mut features,
+        )
+        .expect("extractable");
         samples.push(start.elapsed().as_secs_f64());
     }
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

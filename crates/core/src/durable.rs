@@ -77,6 +77,20 @@ pub fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
     Ok(head)
 }
 
+/// Decode a collection's element count, rejecting a count larger than
+/// the bytes left: every element encodes to at least one byte, so such a
+/// prefix is corrupt, and trusting it would preallocate without bound.
+pub fn decode_count(input: &mut &[u8]) -> Result<usize> {
+    let count = usize::decode(input)?;
+    if count > input.len() {
+        return Err(Error::invalid(format!(
+            "durable sequence claims {count} element(s) but only {} byte(s) remain",
+            input.len()
+        )));
+    }
+    Ok(count)
+}
+
 impl Durable for u8 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(*self);
@@ -177,15 +191,7 @@ impl<T: Durable> Durable for Vec<T> {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
-        let len = usize::decode(input)?;
-        // Guard against a corrupt length prefix demanding absurd
-        // preallocation; elements are at least one byte each.
-        if len > input.len() {
-            return Err(Error::invalid(format!(
-                "durable sequence claims {len} element(s) but only {} byte(s) remain",
-                input.len()
-            )));
-        }
+        let len = decode_count(input)?;
         let mut items = Vec::with_capacity(len);
         for _ in 0..len {
             items.push(T::decode(input)?);

@@ -194,6 +194,10 @@ pub struct DataConcentrator {
     /// Block allocations recovered when channels are quarantined; the
     /// next survey's top-up hands them back before acquisition.
     spare_blocks: Vec<Vec<f64>>,
+    /// Waveform statistics of the survey's live blocks, in block order:
+    /// computed once by the channel self-check and handed on to feature
+    /// extraction.
+    block_stats: Vec<WaveformStats>,
     /// Reused DLI feature set and its spectral workspaces.
     features: SpectralFeatures,
     survey_scratch: SurveyScratch,
@@ -261,6 +265,7 @@ impl DataConcentrator {
             ctx: DspContext::new(),
             survey: None,
             spare_blocks: Vec::new(),
+            block_stats: Vec::new(),
             features: SpectralFeatures::default(),
             survey_scratch: SurveyScratch::default(),
             wnn_features: Vec::new(),
@@ -428,6 +433,7 @@ impl DataConcentrator {
         // allocations to the spare pool.
         self.suspect_channels.clear();
         let blocks = &mut survey.blocks;
+        self.block_stats.clear();
         let mut live = 0usize;
         for read in 0..blocks.len() {
             let loc = blocks[read].0;
@@ -450,6 +456,7 @@ impl DataConcentrator {
                 self.spare_blocks.push(std::mem::take(&mut blocks[read].1));
             } else {
                 blocks.swap(live, read);
+                self.block_stats.push(stats);
                 live += 1;
             }
         }
@@ -459,6 +466,7 @@ impl DataConcentrator {
         SpectralFeatures::extract_into(
             &mut self.ctx,
             &survey,
+            &self.block_stats,
             &mut self.survey_scratch,
             &mut self.features,
         )?;

@@ -7,7 +7,7 @@
 
 use mpros_chiller::vibration::AccelLocation;
 use mpros_chiller::MachineTrain;
-use mpros_core::Result;
+use mpros_core::{Error, Result};
 use mpros_signal::features::WaveformStats;
 use mpros_signal::spectrum::Spectrum;
 use mpros_signal::window::Window;
@@ -79,26 +79,42 @@ impl SpectralFeatures {
     /// Extract the feature set from a survey. Locations absent from the
     /// survey contribute zero features.
     pub fn extract(survey: &VibrationSurvey) -> Result<SpectralFeatures> {
+        let stats: Vec<WaveformStats> = survey
+            .blocks
+            .iter()
+            .map(|(_, block)| WaveformStats::of(block))
+            .collect();
         let mut ctx = DspContext::new();
         let mut scratch = SurveyScratch::default();
         let mut f = SpectralFeatures::default();
-        SpectralFeatures::extract_into(&mut ctx, survey, &mut scratch, &mut f)?;
+        SpectralFeatures::extract_into(&mut ctx, survey, &stats, &mut scratch, &mut f)?;
         Ok(f)
     }
 
     /// [`SpectralFeatures::extract`] through a reusable [`DspContext`]
-    /// and [`SurveyScratch`], overwriting `out` in place. Produces
-    /// features bit-identical to [`SpectralFeatures::extract`] while
-    /// performing zero steady-state heap allocations (per-location maps
-    /// keep their capacity across calls).
+    /// and [`SurveyScratch`], overwriting `out` in place. `stats[i]` must
+    /// be [`WaveformStats::of`] the survey's `i`-th block: the caller has
+    /// usually computed them already (the DC's channel self-check does),
+    /// so they are passed in rather than recomputed. Produces features
+    /// bit-identical to [`SpectralFeatures::extract`] while performing
+    /// zero steady-state heap allocations (per-location maps keep their
+    /// capacity across calls).
     ///
     /// On error `out` may hold a partially updated feature set.
     pub fn extract_into(
         ctx: &mut DspContext,
         survey: &VibrationSurvey,
+        stats: &[WaveformStats],
         scratch: &mut SurveyScratch,
         out: &mut SpectralFeatures,
     ) -> Result<()> {
+        if stats.len() != survey.blocks.len() {
+            return Err(Error::invalid(format!(
+                "{} waveform stats for {} survey blocks",
+                stats.len(),
+                survey.blocks.len()
+            )));
+        }
         let f = out;
         f.motor_half_x = 0.0;
         f.motor_1x = 0.0;
@@ -118,10 +134,9 @@ impl SpectralFeatures {
         let gmf = survey.train.gear_mesh_hz(survey.load);
         let pole_pass = survey.train.pole_pass_hz(survey.load);
 
-        for (loc, block) in &survey.blocks {
+        for ((loc, block), stats) in survey.blocks.iter().zip(stats) {
             ctx.spectrum_into(block, survey.sample_rate, Window::Hann, &mut scratch.spec)?;
             let spec = &scratch.spec;
-            let stats = WaveformStats::of(block);
             f.kurtosis.insert(*loc, stats.kurtosis);
             f.rms.insert(*loc, stats.rms);
             match loc {
@@ -387,6 +402,21 @@ mod tests {
         .unwrap();
         assert!(f.motor_half_x > 0.03, "half-x {}", f.motor_half_x);
         assert!(f.motor_harmonics > 0.04, "harmonics {}", f.motor_harmonics);
+    }
+
+    #[test]
+    fn stats_must_match_the_blocks() {
+        let s = survey_with(None, 0.0, 0.9);
+        let stats = vec![WaveformStats::default(); s.blocks.len() - 1];
+        let mut out = SpectralFeatures::default();
+        let err = SpectralFeatures::extract_into(
+            &mut DspContext::new(),
+            &s,
+            &stats,
+            &mut SurveyScratch::default(),
+            &mut out,
+        );
+        assert!(err.is_err(), "one stats entry per block is required");
     }
 
     #[test]

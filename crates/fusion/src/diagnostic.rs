@@ -14,6 +14,7 @@
 //! another").
 
 use crate::mass::{MassFunction, Subset};
+use mpros_core::durable::decode_count;
 use mpros_core::{
     ConditionReport, Durable, Error, FailureGroup, MachineCondition, MachineId, Result,
 };
@@ -225,7 +226,7 @@ impl Durable for DiagnosticFusion {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
-        let count = usize::decode(input)?;
+        let count = decode_count(input)?;
         let mut frames = HashMap::with_capacity(count);
         let mut prev: Option<(MachineId, FailureGroup)> = None;
         for _ in 0..count {

@@ -12,6 +12,7 @@
 
 use crate::diagnostic::{DiagnosticFusion, FusedDiagnosis};
 use crate::prognostic::fuse_into;
+use mpros_core::durable::decode_count;
 use mpros_core::{
     ConditionReport, Durable, Error, FailureGroup, MachineCondition, MachineId, PrognosticVector,
     Result, Severity, SimDuration,
@@ -238,7 +239,7 @@ impl Durable for FusionEngine {
             input: &mut &[u8],
             what: &str,
         ) -> Result<HashMap<K, V>> {
-            let count = usize::decode(input)?;
+            let count = decode_count(input)?;
             let mut map = HashMap::with_capacity(count);
             let mut prev: Option<K> = None;
             for _ in 0..count {

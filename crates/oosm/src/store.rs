@@ -8,6 +8,7 @@
 //! predicate, equality selection with a primary-key index on the first
 //! column when it is an integer.
 
+use mpros_core::durable::decode_count;
 use mpros_core::{Durable, Error, Result};
 use std::collections::HashMap;
 use std::fmt;
@@ -451,7 +452,7 @@ impl Durable for Store {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
-        let n = usize::decode(input)?;
+        let n = decode_count(input)?;
         let mut tables = HashMap::with_capacity(n);
         for _ in 0..n {
             let name = String::decode(input)?;

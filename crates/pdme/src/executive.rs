@@ -21,6 +21,7 @@
 use crate::historian::{Historian, MaintenanceRecord};
 use crate::journal::PdmeWalRecord;
 use crate::supervisor::Supervisor;
+use mpros_core::durable::decode_count;
 use mpros_core::{
     ConditionReport, DcId, Durable, Error, MachineCondition, MachineId, Result, SimDuration,
     SimTime,
@@ -650,7 +651,7 @@ impl PdmeExecutive {
         let supervisor = Supervisor::decode(&mut input)?;
         let historian = Historian::decode(&mut input)?;
         fn decode_dc_map<V: Durable>(input: &mut &[u8], what: &str) -> Result<HashMap<DcId, V>> {
-            let count = usize::decode(input)?;
+            let count = decode_count(input)?;
             let mut map = HashMap::with_capacity(count);
             let mut prev: Option<DcId> = None;
             for _ in 0..count {
@@ -667,7 +668,7 @@ impl PdmeExecutive {
         }
         let dc_last_seen = decode_dc_map::<SimTime>(&mut input, "liveness map")?;
         let batch_last_seq = decode_dc_map::<(u64, u64)>(&mut input, "replay guards")?;
-        let count = usize::decode(&mut input)?;
+        let count = decode_count(&mut input)?;
         let mut pending_traces = HashMap::with_capacity(count);
         let mut prev: Option<u64> = None;
         for _ in 0..count {

@@ -12,6 +12,7 @@
 //! believability-style review statistics per condition and Weibull life
 //! models per condition for hazard-refined prognostics.
 
+use mpros_core::durable::decode_count;
 use mpros_core::{Durable, Error, MachineCondition, MachineId, Result, SimDuration, SimTime};
 use mpros_fusion::{Lifetime, WeibullFit};
 use std::collections::HashMap;
@@ -201,7 +202,7 @@ impl Durable for Historian {
 
     fn decode(input: &mut &[u8]) -> Result<Self> {
         let records = Vec::<MaintenanceRecord>::decode(input)?;
-        let count = usize::decode(input)?;
+        let count = decode_count(input)?;
         let mut in_service = HashMap::with_capacity(count);
         let mut prev: Option<(MachineId, MachineCondition)> = None;
         for _ in 0..count {

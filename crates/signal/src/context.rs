@@ -19,11 +19,11 @@
 //! Every `*_into` operation produces results **bit-identical** to its
 //! allocating counterpart (`fft_real`, `ifft_real`,
 //! [`crate::Spectrum::compute`], `real_cepstrum`, `hilbert_envelope`,
-//! `bandpass_envelope`, [`crate::features::FeatureVector::extract`]):
-//! the floating-point operations and their order are unchanged, only the
-//! storage is recycled. That property is what lets the per-DC context
-//! ride inside the deterministic simulation without perturbing a single
-//! fingerprint.
+//! `bandpass_envelope`, [`crate::features::FeatureVector::extract`]),
+//! because those are one-shot wrappers over the same kernels; only the
+//! storage differs. Every real input goes through the half-size
+//! real-input FFT, and the band-pass envelope is one forward transform,
+//! one spectral mask and one inverse (DESIGN.md §10.5).
 
 use crate::cepstrum::{dominant_quefrency, LOG_FLOOR};
 use crate::dct::dct_features_into;
@@ -106,11 +106,8 @@ pub struct DspScratch {
     freq: Vec<Complex>,
     /// Secondary frequency-domain buffer (inverse-transform output).
     freq2: Vec<Complex>,
-    /// Real-valued stage buffer (band-passed signal, AC-coupled
-    /// envelope).
-    real_a: Vec<f64>,
-    /// Second real-valued stage buffer (envelope).
-    real_b: Vec<f64>,
+    /// Band-pass envelope awaiting its spectrum.
+    envelope: Vec<f64>,
     /// Cepstrum workspace for feature extraction.
     cep: Vec<f64>,
     /// Reusable multi-level DWT pyramid.
@@ -148,84 +145,66 @@ fn prep_complex(stats: &mut DspStats, buf: &mut Vec<Complex>, n: usize) {
     buf.clear();
 }
 
-/// Fill `out` with the real cepstrum of `signal` (mirror of
-/// `real_cepstrum`).
+/// Fill `out` with the real cepstrum of `signal`. The log-magnitude
+/// spectrum of a real signal is real and even, so its inverse transform
+/// is the forward real transform scaled by `1/n`.
 fn cepstrum_fill(
     plan: &FftPlan,
     signal: &[f64],
     freq: &mut Vec<Complex>,
-    work: &mut Vec<Complex>,
     out: &mut Vec<f64>,
 ) -> Result<()> {
     plan.forward_real_into(signal, freq)?;
-    for z in freq.iter_mut() {
-        *z = Complex::real(z.abs().max(LOG_FLOOR).ln());
-    }
-    plan.inverse_into(freq, work)?;
-    out.extend(work.iter().map(|z| z.re));
+    out.extend(freq.iter().map(|z| z.norm_sq().sqrt().max(LOG_FLOOR).ln()));
+    plan.forward_real_into(out, freq)?;
+    let inv = 1.0 / plan.len() as f64;
+    out.clear();
+    out.extend(freq.iter().map(|z| z.re * inv));
     Ok(())
 }
 
-/// Fill `out` with the Hilbert envelope of `signal` (mirror of
-/// `hilbert_envelope`).
-fn hilbert_fill(
+/// Fill `out` with the analytic-signal envelope of `signal` restricted
+/// to the bins `in_band` accepts (`k` ranges over `0..=n/2`). One mask
+/// does both the brick-wall band-pass and the Hilbert weighting: in-band
+/// bins strictly between DC and Nyquist are doubled, in-band DC and
+/// Nyquist stay as they are, everything else (including the whole
+/// negative-frequency half) is zeroed.
+fn envelope_fill(
     plan: &FftPlan,
     signal: &[f64],
+    in_band: impl Fn(usize) -> bool,
     freq: &mut Vec<Complex>,
     work: &mut Vec<Complex>,
     out: &mut Vec<f64>,
 ) -> Result<()> {
     plan.forward_real_into(signal, freq)?;
     let half = plan.len() / 2;
-    for (k, z) in freq.iter_mut().enumerate() {
-        if k == 0 || k == half {
-            // unchanged
-        } else if k < half {
+    let (positive, negative) = freq.split_at_mut(half + 1);
+    for (k, z) in positive.iter_mut().enumerate() {
+        if !in_band(k) {
+            *z = Complex::ZERO;
+        } else if k != 0 && k != half {
             *z = z.scale(2.0);
-        } else {
-            *z = Complex::ZERO;
         }
     }
+    negative.fill(Complex::ZERO);
     plan.inverse_into(freq, work)?;
-    out.extend(work.iter().map(|z| z.abs()));
+    out.extend(work.iter().map(|z| z.norm_sq().sqrt()));
     Ok(())
 }
 
-/// Fill `filtered` with `signal` brick-wall band-passed to
-/// `[lo_hz, hi_hz]` (mirror of the filter half of `bandpass_envelope`).
-#[allow(clippy::too_many_arguments)]
-fn bandpass_fill(
-    plan: &FftPlan,
-    signal: &[f64],
-    sample_rate: f64,
-    lo_hz: f64,
-    hi_hz: f64,
-    freq: &mut Vec<Complex>,
-    work: &mut Vec<Complex>,
-    filtered: &mut Vec<f64>,
-) -> Result<()> {
-    plan.forward_real_into(signal, freq)?;
-    let n = plan.len();
+/// The band mask of [`envelope_fill`] for a brick-wall pass band
+/// `[lo_hz, hi_hz]` on an `n`-point transform at `sample_rate`.
+fn pass_band(n: usize, sample_rate: f64, lo_hz: f64, hi_hz: f64) -> impl Fn(usize) -> bool {
     let df = sample_rate / n as f64;
-    let half = n / 2;
-    for (k, z) in freq.iter_mut().enumerate() {
-        // Frequency of bin k (mirrored for the upper half).
-        let f = if k <= half {
-            k as f64 * df
-        } else {
-            (n - k) as f64 * df
-        };
-        if f < lo_hz || f > hi_hz {
-            *z = Complex::ZERO;
-        }
+    move |k| {
+        let f = k as f64 * df;
+        !(f < lo_hz || f > hi_hz)
     }
-    plan.inverse_into(freq, work)?;
-    filtered.extend(work.iter().map(|z| z.re));
-    Ok(())
 }
 
-/// Fill `out` from an already-windowed block (mirror of the
-/// normalization half of [`Spectrum::compute`]).
+/// Fill `out` from an already-windowed block: the single-sided,
+/// window-corrected amplitude spectrum.
 fn spectrum_fill(
     plan: &FftPlan,
     windowed: &[f64],
@@ -238,11 +217,11 @@ fn spectrum_fill(
     let n = plan.len();
     let half = n / 2;
     let norm = 1.0 / (n as f64 * gain);
-    out.amplitudes.push(freq[0].abs() * norm);
-    for z in freq.iter().take(half).skip(1) {
-        out.amplitudes.push(2.0 * z.abs() * norm);
-    }
-    out.amplitudes.push(freq[half].abs() * norm);
+    let mag = |z: &Complex| z.norm_sq().sqrt();
+    out.amplitudes.push(mag(&freq[0]) * norm);
+    out.amplitudes
+        .extend(freq[1..half].iter().map(|z| 2.0 * mag(z) * norm));
+    out.amplitudes.push(mag(&freq[half]) * norm);
     out.df = sample_rate / n as f64;
     out.sample_rate = sample_rate;
     Ok(())
@@ -324,12 +303,9 @@ impl DspContext {
     pub fn cepstrum_into(&mut self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
         let plan = self.plan(signal.len())?;
         let n = signal.len();
-        let scratch = &mut self.scratch;
-        let stats = &mut self.stats;
-        prep_complex(stats, &mut scratch.freq, n);
-        prep_complex(stats, &mut scratch.freq2, n);
-        prep_f64(stats, out, n);
-        cepstrum_fill(&plan, signal, &mut scratch.freq, &mut scratch.freq2, out)
+        prep_complex(&mut self.stats, &mut self.scratch.freq, n);
+        prep_f64(&mut self.stats, out, n);
+        cepstrum_fill(&plan, signal, &mut self.scratch.freq, out)
     }
 
     /// Hilbert (analytic-signal) envelope of `signal` into `out`.
@@ -342,11 +318,19 @@ impl DspContext {
         prep_complex(stats, &mut scratch.freq, n);
         prep_complex(stats, &mut scratch.freq2, n);
         prep_f64(stats, out, n);
-        hilbert_fill(&plan, signal, &mut scratch.freq, &mut scratch.freq2, out)
+        envelope_fill(
+            &plan,
+            signal,
+            |_| true,
+            &mut scratch.freq,
+            &mut scratch.freq2,
+            out,
+        )
     }
 
-    /// Brick-wall band-pass to `[lo_hz, hi_hz]` followed by the Hilbert
-    /// envelope, into `out`. Bit-identical to
+    /// Brick-wall band-pass to `[lo_hz, hi_hz]` and the Hilbert envelope
+    /// of the result, into `out`, as one forward transform, one mask and
+    /// one inverse (DESIGN.md §10.5). Bit-identical to
     /// [`crate::envelope::bandpass_envelope`].
     pub fn bandpass_envelope_into(
         &mut self,
@@ -362,23 +346,11 @@ impl DspContext {
         let stats = &mut self.stats;
         prep_complex(stats, &mut scratch.freq, n);
         prep_complex(stats, &mut scratch.freq2, n);
-        prep_f64(stats, &mut scratch.real_a, n);
-        bandpass_fill(
+        prep_f64(stats, out, n);
+        envelope_fill(
             &plan,
             signal,
-            sample_rate,
-            lo_hz,
-            hi_hz,
-            &mut scratch.freq,
-            &mut scratch.freq2,
-            &mut scratch.real_a,
-        )?;
-        prep_complex(stats, &mut scratch.freq, n);
-        prep_complex(stats, &mut scratch.freq2, n);
-        prep_f64(stats, out, n);
-        hilbert_fill(
-            &plan,
-            &scratch.real_a,
+            pass_band(n, sample_rate, lo_hz, hi_hz),
             &mut scratch.freq,
             &mut scratch.freq2,
             out,
@@ -405,52 +377,31 @@ impl DspContext {
         }
         let n = block.len();
         let plan = self.plan(n)?;
-        {
-            let scratch = &mut self.scratch;
-            let stats = &mut self.stats;
-            prep_complex(stats, &mut scratch.freq, n);
-            prep_complex(stats, &mut scratch.freq2, n);
-            prep_f64(stats, &mut scratch.real_a, n);
-            bandpass_fill(
-                &plan,
-                block,
-                sample_rate,
-                lo_hz,
-                hi_hz,
-                &mut scratch.freq,
-                &mut scratch.freq2,
-                &mut scratch.real_a,
-            )?;
-            prep_complex(stats, &mut scratch.freq, n);
-            prep_complex(stats, &mut scratch.freq2, n);
-            prep_f64(stats, &mut scratch.real_b, n);
-            hilbert_fill(
-                &plan,
-                &scratch.real_a,
-                &mut scratch.freq,
-                &mut scratch.freq2,
-                &mut scratch.real_b,
-            )?;
-            // AC-couple the envelope: subtract its mean.
-            let mean = scratch.real_b.iter().sum::<f64>() / scratch.real_b.len() as f64;
-            prep_f64(stats, &mut scratch.real_a, n);
-            let (real_a, real_b) = (&mut scratch.real_a, &scratch.real_b);
-            real_a.extend(real_b.iter().map(|e| e - mean));
-        }
-        // Spectrum of the AC-coupled envelope (same window path as
-        // `spectrum_into`).
         let table = self.cache.window(window, n, &mut self.stats);
         let scratch = &mut self.scratch;
         let stats = &mut self.stats;
+        prep_complex(stats, &mut scratch.freq, n);
+        prep_complex(stats, &mut scratch.freq2, n);
+        prep_f64(stats, &mut scratch.envelope, n);
+        envelope_fill(
+            &plan,
+            block,
+            pass_band(n, sample_rate, lo_hz, hi_hz),
+            &mut scratch.freq,
+            &mut scratch.freq2,
+            &mut scratch.envelope,
+        )?;
+        // AC-couple the envelope (subtract its mean) and window it in one
+        // pass: the same `(e - mean) * w` the two-step chain computes.
+        let mean = scratch.envelope.iter().sum::<f64>() / n as f64;
         prep_f64(stats, &mut scratch.windowed, n);
         scratch.windowed.extend(
             scratch
-                .real_a
+                .envelope
                 .iter()
                 .zip(&table.coeffs)
-                .map(|(&x, &w)| x * w),
+                .map(|(&e, &w)| (e - mean) * w),
         );
-        prep_complex(stats, &mut scratch.freq, n);
         prep_f64(stats, &mut out.amplitudes, n / 2 + 1);
         spectrum_fill(
             &plan,
@@ -482,15 +433,8 @@ impl DspContext {
             let scratch = &mut self.scratch;
             let st = &mut self.stats;
             prep_complex(st, &mut scratch.freq, n);
-            prep_complex(st, &mut scratch.freq2, n);
             prep_f64(st, &mut scratch.cep, n);
-            cepstrum_fill(
-                &plan,
-                block,
-                &mut scratch.freq,
-                &mut scratch.freq2,
-                &mut scratch.cep,
-            )?;
+            cepstrum_fill(&plan, block, &mut scratch.freq, &mut scratch.cep)?;
         }
         let cep = &self.scratch.cep;
         let max_q = n / 2;

@@ -2,8 +2,9 @@
 //!
 //! Implemented from scratch (no external numerics crates): an iterative
 //! in-place decimation-in-time FFT with bit-reversal permutation and
-//! precomputable twiddle tables. Sizes must be powers of two, which is
-//! what the DC's spectrum analyzer card produces anyway.
+//! precomputable twiddle tables, plus a real-input transform that runs
+//! one half-size complex FFT and a split pass. Sizes must be powers of
+//! two, which is what the DC's spectrum analyzer card produces anyway.
 
 use mpros_core::{Error, Result};
 use std::f64::consts::PI;
@@ -120,8 +121,10 @@ impl Neg for Complex {
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
-    log2n: u32,
-    /// Twiddles for each butterfly stage, forward direction.
+    /// Twiddles for each butterfly stage, forward direction. Stage `s`
+    /// (`len = 2^s`) starts at offset `2^(s-1) - 1`, independent of `n`,
+    /// so the first `log2(n) - 1` stages are exactly the tables of an
+    /// `n/2`-point plan.
     twiddles: Vec<Complex>,
     bitrev: Vec<u32>,
 }
@@ -152,7 +155,6 @@ impl FftPlan {
         }
         Ok(FftPlan {
             n,
-            log2n,
             twiddles,
             bitrev,
         })
@@ -171,41 +173,65 @@ impl FftPlan {
 
     /// In-place forward FFT.
     pub fn forward(&self, data: &mut [Complex]) -> Result<()> {
-        self.transform(data, false)
+        self.check_len(data.len())?;
+        self.bit_reverse(data);
+        self.butterflies::<false>(data);
+        Ok(())
     }
 
     /// In-place inverse FFT (including the 1/n normalization).
     pub fn inverse(&self, data: &mut [Complex]) -> Result<()> {
-        self.transform(data, true)?;
-        let inv = 1.0 / self.n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(inv);
-        }
+        self.check_len(data.len())?;
+        self.bit_reverse(data);
+        self.butterflies::<true>(data);
+        self.normalize(data);
         Ok(())
     }
 
     /// Out-of-place forward FFT of a real signal into a caller-provided
-    /// buffer. `dst` is cleared and refilled; with sufficient capacity
-    /// this performs **zero allocations**, which is what the DC's
-    /// steady-state survey loop relies on. Bit-identical to
-    /// [`fft_real`]: the bit-reversal permutation is an involution, so
-    /// scattering `signal[bitrev[i]]` into slot `i` produces exactly the
-    /// buffer the in-place swap pass would.
+    /// buffer, which receives the full `n`-bin spectrum. `dst` is cleared
+    /// and refilled; with sufficient capacity this performs **zero
+    /// allocations**, which is what the DC's steady-state survey loop
+    /// relies on.
+    ///
+    /// The `n` real samples are packed as `n/2` complex values
+    /// `z[m] = x[2m] + i·x[2m+1]`, transformed by one `n/2`-point FFT
+    /// (the plan's own first `log2 n − 1` stages), and split into the
+    /// spectrum with the last stage's twiddles (DESIGN.md §10.5).
     pub fn forward_real_into(&self, signal: &[f64], dst: &mut Vec<Complex>) -> Result<()> {
-        if signal.len() != self.n {
-            return Err(Error::invalid(format!(
-                "buffer length {} does not match plan size {}",
-                signal.len(),
-                self.n
-            )));
-        }
+        self.check_len(signal.len())?;
+        let half = self.n / 2;
+        // bitrev_{n/2}(m) = bitrev_n(2m): the even entries of the n-point
+        // permutation are the n/2-point one.
         dst.clear();
-        dst.extend(
-            self.bitrev
-                .iter()
-                .map(|&r| Complex::real(signal[r as usize])),
-        );
-        self.butterflies(dst, false);
+        dst.extend(self.bitrev.iter().step_by(2).map(|&r| {
+            let r = r as usize;
+            Complex::new(signal[2 * r], signal[2 * r + 1])
+        }));
+        self.butterflies::<false>(dst);
+        dst.resize(self.n, Complex::ZERO);
+        let w = &self.twiddles[half - 1..];
+        let z0 = dst[0];
+        dst[0] = Complex::real(z0.re + z0.im);
+        dst[half] = Complex::real(z0.re - z0.im);
+        let (lo, hi) = dst.split_at_mut(half);
+        // For 0 < k ≤ n/4, with a = Z[k], b = conj(Z[n/2−k]):
+        //   E = (a + b)/2, O = −i(a − b)/2, t = W^k·O,
+        //   X[k] = E + t, X[n/2−k] = conj(E − t),
+        // and the upper half is the conjugate mirror.
+        for k in 1..=half / 2 {
+            let a = lo[k];
+            let b = lo[half - k].conj();
+            let e = (a + b).scale(0.5);
+            let d = (a - b).scale(0.5);
+            let t = w[k] * Complex::new(d.im, -d.re);
+            let xk = e + t;
+            let xm = e - t;
+            lo[k] = xk;
+            lo[half - k] = xm.conj();
+            hi[half - k] = xk.conj();
+            hi[k] = xm;
+        }
         Ok(())
     }
 
@@ -213,70 +239,72 @@ impl FftPlan {
     /// caller-provided buffer, leaving `spectrum` untouched. `dst` is
     /// cleared and refilled; with sufficient capacity this performs zero
     /// allocations. Bit-identical to copying the spectrum and calling
-    /// [`FftPlan::inverse`].
+    /// [`FftPlan::inverse`]: the bit-reversal permutation is an
+    /// involution, so gathering `spectrum[bitrev[i]]` into slot `i`
+    /// produces exactly the buffer the in-place swap pass would.
     pub fn inverse_into(&self, spectrum: &[Complex], dst: &mut Vec<Complex>) -> Result<()> {
-        if spectrum.len() != self.n {
-            return Err(Error::invalid(format!(
-                "buffer length {} does not match plan size {}",
-                spectrum.len(),
-                self.n
-            )));
-        }
+        self.check_len(spectrum.len())?;
         dst.clear();
         dst.extend(self.bitrev.iter().map(|&r| spectrum[r as usize]));
-        self.butterflies(dst, true);
-        let inv = 1.0 / self.n as f64;
-        for z in dst.iter_mut() {
-            *z = z.scale(inv);
+        self.butterflies::<true>(dst);
+        self.normalize(dst);
+        Ok(())
+    }
+
+    fn check_len(&self, len: usize) -> Result<()> {
+        if len != self.n {
+            return Err(Error::invalid(format!(
+                "buffer length {len} does not match plan size {}",
+                self.n
+            )));
         }
         Ok(())
     }
 
-    fn transform(&self, data: &mut [Complex], inverse: bool) -> Result<()> {
-        if data.len() != self.n {
-            return Err(Error::invalid(format!(
-                "buffer length {} does not match plan size {}",
-                data.len(),
-                self.n
-            )));
-        }
-        // Bit-reversal permutation.
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
+    fn bit_reverse(&self, data: &mut [Complex]) {
+        for (i, &r) in self.bitrev.iter().enumerate() {
+            let j = r as usize;
             if i < j {
                 data.swap(i, j);
             }
         }
-        self.butterflies(data, inverse);
-        Ok(())
+    }
+
+    fn normalize(&self, data: &mut [Complex]) {
+        let inv = 1.0 / self.n as f64;
+        for z in data.iter_mut() {
+            *z = z.scale(inv);
+        }
     }
 
     /// Iterative radix-2 butterflies over an already bit-reversed buffer
-    /// of exactly `self.n` elements.
-    fn butterflies(&self, data: &mut [Complex], inverse: bool) {
-        let mut stage_base = 0usize;
-        for s in 1..=self.log2n {
-            let len = 1usize << s;
+    /// whose length is a power of two no larger than the plan (the
+    /// stage tables are shared by every such length). `INVERSE`
+    /// conjugates the twiddles; it is a const parameter so each
+    /// direction compiles to its own branch-free loop.
+    fn butterflies<const INVERSE: bool>(&self, data: &mut [Complex]) {
+        let mut len = 2;
+        while len <= data.len() {
             let half = len / 2;
-            let stage = &self.twiddles[stage_base..stage_base + half];
-            let mut start = 0;
-            while start < self.n {
-                for j in 0..half {
-                    let w = if inverse { stage[j].conj() } else { stage[j] };
-                    let a = data[start + j];
-                    let b = data[start + j + half] * w;
-                    data[start + j] = a + b;
-                    data[start + j + half] = a - b;
+            let stage = &self.twiddles[half - 1..len - 1];
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let w = if INVERSE { w.conj() } else { w };
+                    let t = *b * w;
+                    let x = *a;
+                    *a = x + t;
+                    *b = x - t;
                 }
-                start += len;
             }
-            stage_base += half;
+            len <<= 1;
         }
     }
 }
 
 /// Forward FFT of a real signal; returns the full complex spectrum.
-/// Convenience wrapper that builds a one-shot plan.
+/// Convenience wrapper that builds a one-shot plan for
+/// [`FftPlan::forward_real_into`].
 pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>> {
     let plan = FftPlan::new(signal.len())?;
     let mut buf = Vec::with_capacity(signal.len());
@@ -387,6 +415,37 @@ mod tests {
         let slow = dft_reference(&data);
         for (a, b) in fast.iter().zip(&slow) {
             assert_close(*a, *b, 1e-9);
+        }
+    }
+
+    #[test]
+    fn real_forward_matches_naive_dft() {
+        for exp in 1..=7 {
+            let n = 1 << exp;
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).cos() - 0.2).collect();
+            let mut fast = Vec::new();
+            FftPlan::new(n)
+                .unwrap()
+                .forward_real_into(&x, &mut fast)
+                .unwrap();
+            let slow = dft_reference(&x.iter().map(|&v| Complex::real(v)).collect::<Vec<_>>());
+            for (a, b) in fast.iter().zip(&slow) {
+                assert_close(*a, *b, 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_undoes_forward() {
+        let plan = FftPlan::new(32).unwrap();
+        let data: Vec<Complex> = (0..32)
+            .map(|i| Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.9).cos()))
+            .collect();
+        let mut buf = data.clone();
+        plan.forward(&mut buf).unwrap();
+        plan.inverse(&mut buf).unwrap();
+        for (a, b) in buf.iter().zip(&data) {
+            assert_close(*a, *b, 1e-12);
         }
     }
 

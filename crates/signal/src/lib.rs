@@ -9,7 +9,8 @@
 //! wavelet maps" (§6.2). None of that machinery can be assumed to exist,
 //! so this crate implements it from scratch:
 //!
-//! * complex radix-2 FFT / inverse FFT ([`fft`]),
+//! * complex radix-2 FFT / inverse FFT and a half-size real-input FFT
+//!   ([`fft`]),
 //! * window functions with coherent-gain correction ([`window`]),
 //! * amplitude/power spectra, peak and shaft-order extraction
 //!   ([`spectrum`]),

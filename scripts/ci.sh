@@ -64,11 +64,15 @@ cargo test --release -q --test fleet_serving
 
 # The DSP contract, in release: golden-vector conformance against
 # closed-form spectra, property-based round-trips / reconstruction /
-# window identities, and the counting-allocator proof that a
-# steady-state DC survey performs zero heap allocations in the DSP
-# path. Release matters here: the allocation profile and the
+# window identities, the real-input and fused-envelope kernels against
+# their complex-FFT definitions, and the counting-allocator proof that
+# a steady-state DC survey performs zero heap allocations in the DSP
+# path. The root `cargo test` does not run the member crates' own unit
+# tests, so the DSP crates' (including the FFT-vs-naive-DFT oracles)
+# run here. Release matters here: the allocation profile and the
 # optimization-sensitive float paths are what ship.
-echo "==> dsp golden + property + allocation suites, release"
+echo "==> dsp unit + golden + property + allocation suites, release"
+cargo test --release -q -p mpros-signal -p mpros-dli -p mpros-dc
 cargo test --release -q --test dsp_golden
 cargo test --release -q --test dsp_props
 cargo test --release -q --test dsp_alloc

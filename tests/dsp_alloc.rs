@@ -17,6 +17,7 @@ use mpros_chiller::vibration::AccelLocation;
 use mpros_core::{MachineId, SimTime};
 use mpros_dc::hw::{AcquisitionChain, HwConfig};
 use mpros_dli::{SpectralFeatures, SurveyScratch, VibrationSurvey};
+use mpros_signal::features::WaveformStats;
 use mpros_signal::DspContext;
 use mpros_wnn::WnnConfig;
 
@@ -57,13 +58,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// One steady-state survey pass: acquire every channel into the reused
-/// workspace, extract spectral features, and build the WNN input vector
-/// — the exact per-step DSP work a `DataConcentrator` performs.
+/// workspace, compute each block's waveform statistics, extract spectral
+/// features, and build the WNN input vector — the exact per-step DSP
+/// work a `DataConcentrator` performs.
 #[allow(clippy::too_many_arguments)]
 fn survey_pass(
     plant: &ChillerPlant,
     chain: &mut AcquisitionChain,
     survey: &mut VibrationSurvey,
+    block_stats: &mut Vec<WaveformStats>,
     ctx: &mut DspContext,
     scratch: &mut SurveyScratch,
     features: &mut SpectralFeatures,
@@ -73,7 +76,10 @@ fn survey_pass(
 ) {
     survey.load = plant.load_at(t0);
     chain.survey_into(plant, t0, &mut survey.blocks);
-    SpectralFeatures::extract_into(ctx, survey, scratch, features).expect("feature extraction");
+    block_stats.clear();
+    block_stats.extend(survey.blocks.iter().map(|(_, b)| WaveformStats::of(b)));
+    SpectralFeatures::extract_into(ctx, survey, block_stats, scratch, features)
+        .expect("feature extraction");
     wnn.extract_features_into(ctx, &survey.blocks, survey.load, wnn_features)
         .expect("wnn preprocessing");
 }
@@ -96,6 +102,7 @@ fn steady_state_survey_performs_zero_dsp_allocations() {
             .blocks
             .push((AccelLocation::MotorDriveEnd, Vec::new()));
     }
+    let mut block_stats = Vec::new();
     let mut ctx = DspContext::new();
     let mut scratch = SurveyScratch::default();
     let mut features = SpectralFeatures::default();
@@ -107,6 +114,7 @@ fn steady_state_survey_performs_zero_dsp_allocations() {
         &plant,
         &mut chain,
         &mut survey,
+        &mut block_stats,
         &mut ctx,
         &mut scratch,
         &mut features,
@@ -124,6 +132,7 @@ fn steady_state_survey_performs_zero_dsp_allocations() {
         &plant,
         &mut chain,
         &mut survey,
+        &mut block_stats,
         &mut ctx,
         &mut scratch,
         &mut features,
