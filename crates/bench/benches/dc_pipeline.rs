@@ -7,7 +7,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mpros_bench::labeled_survey;
 use mpros_chiller::plant::{ChillerPlant, PlantConfig};
 use mpros_chiller::vibration::AccelLocation;
-use mpros_core::{MachineCondition, MachineId, SimTime};
+use mpros_chiller::{FaultProfile, FaultSeed};
+use mpros_core::{MachineCondition, MachineId, SimDuration, SimTime};
+use mpros_dc::{AcquisitionChain, HwConfig};
 use mpros_dli::{DliExpertSystem, SpectralFeatures};
 use mpros_fuzzy::FuzzyDiagnostics;
 use std::hint::black_box;
@@ -27,6 +29,26 @@ fn bench_acquisition(c: &mut Criterion) {
                 n,
                 16_384.0,
             ))
+        });
+    });
+    // A whole 5-channel survey through the acquisition chain on a plant
+    // whose compressor-bearing defect adds four tones to every channel.
+    let mut faulted = ChillerPlant::new(PlantConfig::new(MachineId::new(1), 3));
+    faulted.seed_fault(FaultSeed {
+        condition: MachineCondition::CompressorBearingDefect,
+        onset: SimTime::ZERO,
+        time_to_failure: SimDuration::from_minutes(10.0),
+        profile: FaultProfile::Step(1.0),
+    });
+    let mut chain = AcquisitionChain::new(HwConfig::standard()).expect("standard hardware");
+    let mut blocks = Vec::new();
+    group.throughput(Throughput::Elements((5 * n) as u64));
+    group.bench_function("survey_5ch_32k_compressor_bearing", |b| {
+        let mut t = 0.0f64;
+        b.iter(|| {
+            t += 30.0;
+            chain.survey_into(&faulted, SimTime::from_secs(t), &mut blocks);
+            black_box(blocks.len())
         });
     });
     group.finish();

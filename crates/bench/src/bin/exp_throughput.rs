@@ -32,10 +32,12 @@ use crossbeam::thread;
 use mpros::chiller::fault::{FaultProfile, FaultSeed};
 use mpros::sim::{ExecMode, ShipboardSim, ShipboardSimConfig};
 use mpros_bench::{labeled_survey, verdict, Table};
+use mpros_chiller::{ChillerPlant, PlantConfig};
 use mpros_core::{
     Belief, ConditionReport, DcId, FaultPlan, FaultPlanConfig, KnowledgeSourceId, MachineCondition,
     MachineId, PrognosticVector, ReportId, SimDuration, SimTime,
 };
+use mpros_dc::{AcquisitionChain, HwConfig};
 use mpros_dli::{DliExpertSystem, SpectralFeatures, SurveyScratch};
 use mpros_network::{Endpoint, Envelope, NetMessage, NetStats, NetworkConfig, ShipNetwork};
 use mpros_pdme::PdmeExecutive;
@@ -109,6 +111,11 @@ struct DspBench {
     synthesize_per_s: f64,
     survey_extract_p50_s: f64,
     survey_extract_p95_s: f64,
+    /// A 5-channel 32k `survey_into` (plant synthesis) on a healthy
+    /// plant, and on one with a compressor-bearing defect (four extra
+    /// tones on every channel).
+    survey_acquire_p50_s: f64,
+    survey_acquire_compressor_bearing_p50_s: f64,
     plans_cached: u64,
     scratch_reuses: u64,
     bytes_avoided: u64,
@@ -308,8 +315,9 @@ fn fleet_steps_per_s(
 /// raw windowed-FFT and amplitude-spectrum rates through the cached
 /// plans, the legacy allocating spectrum for comparison, the two legacy
 /// round-trip APIs whose hidden clones were removed (`ifft_real`,
-/// `WaveletDecomposition::synthesize`), and per-survey feature
-/// extraction quantiles. The workload is fixed, so the context's
+/// `WaveletDecomposition::synthesize`), per-survey feature extraction
+/// quantiles, and the median survey acquisition (plant synthesis) that
+/// precedes extraction in a DC step. The workload is fixed, so the context's
 /// counters come out deterministic.
 fn dsp_bench() -> DspBench {
     const FS: f64 = 16_384.0;
@@ -387,6 +395,13 @@ fn dsp_bench() -> DspBench {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
     let stats = ctx.stats();
+    let mut faulted = ChillerPlant::new(PlantConfig::new(MachineId::new(1), 3));
+    faulted.seed_fault(FaultSeed {
+        condition: MachineCondition::CompressorBearingDefect,
+        onset: SimTime::ZERO,
+        time_to_failure: SimDuration::from_minutes(10.0),
+        profile: FaultProfile::Step(1.0),
+    });
     DspBench {
         windows_per_s,
         spectra_per_s,
@@ -395,10 +410,33 @@ fn dsp_bench() -> DspBench {
         synthesize_per_s,
         survey_extract_p50_s: percentile(&samples, 0.50),
         survey_extract_p95_s: percentile(&samples, 0.95),
+        survey_acquire_p50_s: survey_acquire_p50(&ChillerPlant::new(PlantConfig::new(
+            MachineId::new(1),
+            3,
+        ))),
+        survey_acquire_compressor_bearing_p50_s: survey_acquire_p50(&faulted),
         plans_cached: stats.plans_created,
         scratch_reuses: stats.scratch_reuses,
         bytes_avoided: stats.bytes_avoided,
     }
+}
+
+/// Median wall time of one 5-channel 32k survey acquisition from
+/// `plant` through the DC's acquisition chain (synthesis, MUX banks,
+/// RMS detectors), into retained buffers as a DC acquires.
+fn survey_acquire_p50(plant: &ChillerPlant) -> f64 {
+    let mut chain = AcquisitionChain::new(HwConfig::standard()).expect("standard hardware");
+    let mut blocks = Vec::new();
+    let mut samples: Vec<f64> = (0..24)
+        .map(|i| {
+            let start = Instant::now();
+            chain.survey_into(plant, SimTime::from_secs(30.0 * i as f64), &mut blocks);
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    std::hint::black_box(&blocks);
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    percentile(&samples, 0.50)
 }
 
 fn main() {
@@ -463,12 +501,18 @@ fn main() {
     );
     println!(
         "5-channel survey extraction: p50={:.2} ms p95={:.2} ms; \
-         {} plans cached, {} scratch reuses, {:.1} MB reallocation avoided\n",
+         {} plans cached, {} scratch reuses, {:.1} MB reallocation avoided",
         dsp.survey_extract_p50_s * 1e3,
         dsp.survey_extract_p95_s * 1e3,
         dsp.plans_cached,
         dsp.scratch_reuses,
         dsp.bytes_avoided as f64 / 1e6,
+    );
+    println!(
+        "5-channel survey acquisition: p50={:.2} ms healthy, {:.2} ms with a \
+         compressor-bearing defect\n",
+        dsp.survey_acquire_p50_s * 1e3,
+        dsp.survey_acquire_compressor_bearing_p50_s * 1e3,
     );
 
     // 2. Parallel fleet of DCs (one worker per DC, crossbeam scoped).

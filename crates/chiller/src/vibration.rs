@@ -301,20 +301,44 @@ impl VibrationSynthesizer {
     }
 }
 
+/// Samples per synthesis chunk. Every chunk starts from one exact libm
+/// anchor; the samples inside it come from a per-call table.
+const CHUNK: usize = 64;
+
 /// Add a sinusoid to a block.
+///
+/// Chunk-anchored: each 64-sample chunk takes one exact `sin_cos` of its
+/// start argument `w·(base + i0·dt) + phase`, and angle addition against
+/// the table `amp·(sin, cos)(w·j·dt)` gives the samples inside it. No
+/// state carries from one chunk to the next, so rounding error cannot
+/// accumulate (DESIGN.md §10.6 has the algebra and the error bound).
 fn add_tone(out: &mut [f64], t0: SimTime, dt: f64, freq: f64, amp: f64, phase: f64) {
     if amp == 0.0 || freq <= 0.0 {
         return;
     }
     let w = 2.0 * PI * freq;
     let base = t0.as_secs();
-    for (i, s) in out.iter_mut().enumerate() {
-        *s += amp * (w * (base + i as f64 * dt) + phase).sin();
+    let (mut sin_j, mut cos_j) = ([0.0; CHUNK], [0.0; CHUNK]);
+    for j in 0..CHUNK {
+        let (s, c) = (w * (j as f64 * dt)).sin_cos();
+        sin_j[j] = amp * s;
+        cos_j[j] = amp * c;
+    }
+    for (k, chunk) in out.chunks_mut(CHUNK).enumerate() {
+        let (s0, c0) = (w * (base + (k * CHUNK) as f64 * dt) + phase).sin_cos();
+        for ((o, &sj), &cj) in chunk.iter_mut().zip(&sin_j).zip(&cos_j) {
+            *o += s0 * cj + c0 * sj;
+        }
     }
 }
 
 /// Add periodic exponentially decaying resonance bursts (bearing-impact
-/// model): an impulse train at `rate` Hz ringing a resonance at `res_hz`.
+/// model): an impulse train at `rate` Hz ringing a resonance at `res_hz`,
+/// `amp·e^{-t/τ}·sin(w·t)` for `t ≥ 0` after each impact.
+///
+/// Chunk-anchored like [`add_tone`]: each chunk of a burst takes one
+/// exact `exp` and `sin_cos` at its first sample's `t`, and the damped
+/// table `e^{-j·dt/τ}·(cos, sin)(w·j·dt)` gives the rest.
 fn add_bearing_bursts(out: &mut [f64], t0: SimTime, dt: f64, rate: f64, res_hz: f64, amp: f64) {
     if amp == 0.0 || rate <= 0.0 {
         return;
@@ -324,18 +348,39 @@ fn add_bearing_bursts(out: &mut [f64], t0: SimTime, dt: f64, rate: f64, res_hz: 
     let w = 2.0 * PI * res_hz;
     let base = t0.as_secs();
     let block_len = out.len() as f64 * dt;
+    let (mut damped_cos, mut damped_sin) = ([0.0; CHUNK], [0.0; CHUNK]);
+    for j in 0..CHUNK {
+        let u = j as f64 * dt;
+        let decay = (-u / tau).exp();
+        let (s, c) = (w * u).sin_cos();
+        damped_cos[j] = decay * c;
+        damped_sin[j] = decay * s;
+    }
     // Bursts whose ring-down can reach into this block.
     let first = ((base - 6.0 * tau) / period).floor() as i64;
     let last = ((base + block_len) / period).ceil() as i64;
     for k in first..=last {
         let impact = k as f64 * period;
+        let since_impact = |i: usize| base + i as f64 * dt - impact;
         // Index range influenced by this burst.
-        let start = (((impact - base) / dt).ceil()).max(0.0) as usize;
+        let mut start = (((impact - base) / dt).ceil()).max(0.0) as usize;
         let end = ((((impact + 6.0 * tau) - base) / dt).ceil()).max(0.0) as usize;
-        for i in start..end.min(out.len()) {
-            let t = base + i as f64 * dt - impact;
-            if t >= 0.0 {
-                out[i] += amp * (-t / tau).exp() * (w * t).sin();
+        let end = end.min(out.len());
+        // `since_impact` is nondecreasing in `i`, so the samples with
+        // `t ≥ 0` are a suffix of the window.
+        while start < end && since_impact(start) < 0.0 {
+            start += 1;
+        }
+        if start >= end {
+            continue;
+        }
+        for (c, chunk) in out[start..end].chunks_mut(CHUNK).enumerate() {
+            let t = since_impact(start + c * CHUNK);
+            let a = amp * (-t / tau).exp();
+            let (s0, c0) = (w * t).sin_cos();
+            let (s0, c0) = (a * s0, a * c0);
+            for ((o, &dc), &ds) in chunk.iter_mut().zip(&damped_cos).zip(&damped_sin) {
+                *o += s0 * dc + c0 * ds;
             }
         }
     }
@@ -427,6 +472,26 @@ mod tests {
             &f,
         );
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn sample_block_into_a_used_buffer_is_bit_identical() {
+        let s = synth();
+        let mut f = active(MachineCondition::MotorBearingDefect);
+        f.seed(FaultSeed {
+            condition: MachineCondition::CompressorBearingDefect,
+            onset: SimTime::ZERO,
+            time_to_failure: SimDuration::from_secs(1.0),
+            profile: crate::fault::FaultProfile::Step(1.0),
+        });
+        let t0 = SimTime::from_secs(301.5);
+        let mut buf = vec![7.0; 5000];
+        for loc in AccelLocation::ALL {
+            s.sample_block_into(loc, t0, 1000, FS, 0.8, &f, &mut buf);
+            let fresh = s.sample_block(loc, t0, 1000, FS, 0.8, &f);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&buf), bits(&fresh), "{loc:?}");
+        }
     }
 
     #[test]
@@ -654,6 +719,178 @@ mod tests {
         for i in 0..1024 {
             assert!((long[i] - a[i]).abs() < 1e-9);
             assert!((long[1024 + i] - b[i]).abs() < 1e-6);
+        }
+    }
+}
+
+/// The chunk-anchored kernels against the per-sample formulas they
+/// replace. The reference evaluates `sin`/`exp` at every sample's own
+/// rounded argument, so it carries an argument-rounding error of a few
+/// `w·ulp(t)`; the bound below is that error's size, with margin.
+#[cfg(test)]
+mod kernel_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The per-sample tone formula.
+    fn reference_tone(n: usize, base: f64, dt: f64, freq: f64, amp: f64, phase: f64) -> Vec<f64> {
+        let w = 2.0 * PI * freq;
+        (0..n)
+            .map(|i| amp * (w * (base + i as f64 * dt) + phase).sin())
+            .collect()
+    }
+
+    /// The per-sample burst formula.
+    fn reference_bursts(
+        n: usize,
+        base: f64,
+        dt: f64,
+        rate: f64,
+        res_hz: f64,
+        amp: f64,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; n];
+        let period = 1.0 / rate;
+        let tau = period / 8.0;
+        let w = 2.0 * PI * res_hz;
+        let first = ((base - 6.0 * tau) / period).floor() as i64;
+        let last = ((base + n as f64 * dt) / period).ceil() as i64;
+        for k in first..=last {
+            let impact = k as f64 * period;
+            let start = (((impact - base) / dt).ceil()).max(0.0) as usize;
+            let end = ((((impact + 6.0 * tau) - base) / dt).ceil()).max(0.0) as usize;
+            for (i, o) in out.iter_mut().enumerate().take(end).skip(start) {
+                let t = base + i as f64 * dt - impact;
+                if t >= 0.0 {
+                    *o += amp * (-t / tau).exp() * (w * t).sin();
+                }
+            }
+        }
+        out
+    }
+
+    /// `8·amp·rate·ulp(t0 + n·dt) + 1e-12`, where `rate` bounds the
+    /// signal's slope per unit of `t` (`w` for a tone, `w + 1/τ` for a
+    /// burst).
+    fn bound(amp: f64, rate: f64, base: f64, n: usize, dt: f64) -> f64 {
+        let t_end = base + n as f64 * dt;
+        8.0 * amp * rate * (t_end.next_up() - t_end) + 1e-12
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], tol: f64, what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= tol,
+                "{what}: sample {i} of {}: {g} vs {w} (|Δ| {} > {tol})",
+                got.len(),
+                (g - w).abs()
+            );
+        }
+    }
+
+    fn check_tone(base: f64, n: usize, fs: f64, freq: f64, amp: f64, phase: f64) {
+        let dt = 1.0 / fs;
+        let mut out = vec![0.0; n];
+        add_tone(&mut out, SimTime::from_secs(base), dt, freq, amp, phase);
+        let want = reference_tone(n, base, dt, freq, amp, phase);
+        let tol = bound(amp, 2.0 * PI * freq, base, n, dt);
+        let what = format!("tone t0={base} n={n} fs={fs} f={freq} amp={amp} phase={phase}");
+        assert_close(&out, &want, tol, &what);
+    }
+
+    fn check_bursts(base: f64, n: usize, fs: f64, rate: f64, res_hz: f64, amp: f64) {
+        let dt = 1.0 / fs;
+        let mut out = vec![0.0; n];
+        add_bearing_bursts(&mut out, SimTime::from_secs(base), dt, rate, res_hz, amp);
+        let want = reference_bursts(n, base, dt, rate, res_hz, amp);
+        let tau = 1.0 / (8.0 * rate);
+        let tol = bound(amp, 2.0 * PI * res_hz + 1.0 / tau, base, n, dt);
+        let what = format!("bursts t0={base} n={n} fs={fs} rate={rate} res={res_hz} amp={amp}");
+        assert_close(&out, &want, tol, &what);
+        // Same support: a sample no burst reaches (outside every window,
+        // or at `t < 0`) stays exactly zero.
+        for (i, (g, w)) in out.iter().zip(&want).enumerate() {
+            assert!(
+                *w != 0.0 || *g == 0.0,
+                "{what}: sample {i} should be silent, got {g}"
+            );
+        }
+    }
+
+    #[test]
+    fn tone_matches_per_sample_formula_on_a_grid() {
+        let fs = 16_384.0;
+        for n in [1, 2, 63, 64, 65, 127, 1000, 4097, 32_768] {
+            for base in [0.0, 300.0, 86_400.0, 1e5] {
+                for freq in [0.5, 29.6, 1_234.5, 2_400.0, fs / 2.0 - 0.1, fs / 2.0] {
+                    check_tone(base, n, fs, freq, 0.3, 1.1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bursts_match_per_sample_formula_on_a_grid() {
+        let fs = 16_384.0;
+        for n in [1, 2, 63, 64, 65, 127, 1000, 4097, 32_768] {
+            for base in [0.0, 300.0, 86_400.0, 1e5] {
+                for res in [900.0, MOTOR_RESONANCE_HZ, fs / 2.0] {
+                    check_bursts(base, n, fs, 87.3, res, 0.5);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bursts_straddling_both_block_edges_match() {
+        // 100 Hz impacts ring for 7.5 ms: the block starts 4 ms after
+        // the impact at 3.00 s and ends 0.1 ms after the one at 3.01 s.
+        let (fs, rate, base, n) = (16_384.0, 100.0, 3.004, 100);
+        let dt = 1.0 / fs;
+        let mut out = vec![0.0; n];
+        add_bearing_bursts(&mut out, SimTime::from_secs(base), dt, rate, 2_400.0, 0.5);
+        assert!(out[0] != 0.0, "a burst should ring into the block");
+        assert!(out[n - 1] != 0.0, "a burst should start inside the block");
+        check_bursts(base, n, fs, rate, 2_400.0, 0.5);
+        // Split the block at every chunk-boundary-adjacent offset: each
+        // piece still matches the formula where a burst crosses the cut.
+        for split in [1, 37, 63, 64, 65, 99] {
+            let t_split = base + split as f64 * dt;
+            check_bursts(base, split, fs, rate, 2_400.0, 0.5);
+            check_bursts(t_split, n - split, fs, rate, 2_400.0, 0.5);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tone_matches_per_sample_formula(
+            base in 0.0..1e5f64,
+            n in 1usize..3_000,
+            fs_idx in 0usize..3,
+            freq_frac in 0.0..=1.0f64,
+            amp in 0.001..2.0f64,
+            phase in 0.0..(2.0 * PI)
+        ) {
+            let fs = [10_000.0, 16_384.0, 48_000.0][fs_idx];
+            let freq = (freq_frac * fs / 2.0).max(0.01);
+            check_tone(base, n, fs, freq, amp, phase);
+        }
+
+        #[test]
+        fn bursts_match_per_sample_formula(
+            base in 0.0..1e5f64,
+            n in 1usize..3_000,
+            fs_idx in 0usize..3,
+            rate in 5.0..500.0f64,
+            res_frac in 0.0..=1.0f64,
+            amp in 0.001..2.0f64
+        ) {
+            let fs = [10_000.0, 16_384.0, 48_000.0][fs_idx];
+            let res = (res_frac * fs / 2.0).max(1.0);
+            check_bursts(base, n, fs, rate, res, amp);
         }
     }
 }

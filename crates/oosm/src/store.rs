@@ -454,8 +454,17 @@ impl Durable for Store {
     fn decode(input: &mut &[u8]) -> Result<Self> {
         let n = decode_count(input)?;
         let mut tables = HashMap::with_capacity(n);
+        let mut prev: Option<String> = None;
         for _ in 0..n {
             let name = String::decode(input)?;
+            // Strictly ascending, as encoded: one canonical byte form
+            // per store, and no table can appear twice.
+            if prev.as_ref().is_some_and(|p| name <= *p) {
+                return Err(Error::invalid(format!(
+                    "durable store tables out of order at {name}"
+                )));
+            }
+            prev = Some(name.clone());
             let columns = Vec::<String>::decode(input)?;
             if columns.is_empty() {
                 return Err(Error::invalid(format!(
@@ -501,11 +510,7 @@ impl Durable for Store {
                 }
                 table.indexes.push(SecondaryIndex { column: col, map });
             }
-            if tables.insert(name.clone(), table).is_some() {
-                return Err(Error::invalid(format!(
-                    "durable store repeats table {name}"
-                )));
-            }
+            tables.insert(name, table);
         }
         Ok(Store { tables })
     }
@@ -537,6 +542,36 @@ mod tests {
         )
         .unwrap();
         s
+    }
+
+    #[test]
+    fn durable_decode_rejects_tables_out_of_order() {
+        let one = |name: &str| {
+            let mut s = Store::new();
+            s.create_table(name, &["id"]).unwrap();
+            s.insert(name, vec![Value::Int(1)]).unwrap();
+            s
+        };
+        // A two-table store is the count, then each one-table store's
+        // body, in name order.
+        let mut both = one("alpha");
+        both.create_table("beta", &["id"]).unwrap();
+        both.insert("beta", vec![Value::Int(1)]).unwrap();
+        let (a, b) = (
+            one("alpha").to_durable_bytes(),
+            one("beta").to_durable_bytes(),
+        );
+        let joined = |first: &[u8], second: &[u8]| {
+            let mut out = Vec::new();
+            2usize.encode(&mut out);
+            out.extend_from_slice(&first[8..]);
+            out.extend_from_slice(&second[8..]);
+            out
+        };
+        assert_eq!(joined(&a, &b), both.to_durable_bytes());
+        assert!(Store::from_durable_bytes(&joined(&a, &b)).is_ok());
+        assert!(Store::from_durable_bytes(&joined(&b, &a)).is_err());
+        assert!(Store::from_durable_bytes(&joined(&a, &a)).is_err());
     }
 
     #[test]

@@ -177,8 +177,17 @@ impl PdmeWalRecord {
                 let count = usize::decode(&mut input)?;
                 let mut msgs = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
-                    let wire = Vec::<u8>::decode(&mut input)?;
-                    msgs.push(decode_message(Bytes::from(wire))?);
+                    let wire = Bytes::from(Vec::<u8>::decode(&mut input)?);
+                    let msg = decode_message(wire.clone())?;
+                    // The frame body is JSON, which has many spellings of
+                    // one message; only the one `payload` writes is valid.
+                    if encode_message(&msg)? != wire {
+                        return Err(Error::invalid(format!(
+                            "pdme journal: non-canonical message in ingest record (seq {})",
+                            frame.seq
+                        )));
+                    }
+                    msgs.push(msg);
                 }
                 PdmeWalRecord::Ingest { now, msgs }
             }
@@ -283,6 +292,32 @@ mod tests {
             let frame = frame_of(&record);
             let back = PdmeWalRecord::decode_frame(&frame).unwrap();
             assert_eq!(back, record, "kind {} roundtrip", frame.kind);
+        }
+    }
+
+    #[test]
+    fn non_canonical_ingest_message_rejected() {
+        let msg = NetMessage::Heartbeat {
+            dc: DcId::new(2),
+            at_secs: 12.0,
+        };
+        let wire = encode_message(&msg).unwrap();
+        // The same message with one space of JSON whitespace in its body.
+        let mut body = wire[8..].to_vec();
+        body.insert(1, b' ');
+        let spaced = mpros_network::frame_payload(wire[3], &body).unwrap();
+        assert_eq!(decode_message(spaced.clone()).unwrap(), msg);
+        for (wire, ok) in [(wire.to_vec(), true), (spaced.to_vec(), false)] {
+            let mut payload = Vec::new();
+            SimTime::from_secs(12.5).encode(&mut payload);
+            1usize.encode(&mut payload);
+            wire.encode(&mut payload);
+            let frame = Frame {
+                kind: KIND_INGEST,
+                seq: 3,
+                payload,
+            };
+            assert_eq!(PdmeWalRecord::decode_frame(&frame).is_ok(), ok);
         }
     }
 

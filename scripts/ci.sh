@@ -69,10 +69,13 @@ cargo test --release -q --test fleet_serving
 # a steady-state DC survey performs zero heap allocations in the DSP
 # path. The root `cargo test` does not run the member crates' own unit
 # tests, so the DSP crates' (including the FFT-vs-naive-DFT oracles)
-# run here. Release matters here: the allocation profile and the
+# run here, and so do the chiller's, whose chunk-anchored tone and
+# bearing-burst kernels are checked against the per-sample formulas.
+# Release matters here: the allocation profile and the
 # optimization-sensitive float paths are what ship.
 echo "==> dsp unit + golden + property + allocation suites, release"
 cargo test --release -q -p mpros-signal -p mpros-dli -p mpros-dc
+cargo test --release -q -p mpros-chiller
 cargo test --release -q --test dsp_golden
 cargo test --release -q --test dsp_props
 cargo test --release -q --test dsp_alloc

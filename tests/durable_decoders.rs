@@ -10,16 +10,19 @@
 
 use mpros::core::{
     Belief, ConditionReport, DcId, Durable, MachineCondition, MachineId, PrognosticVector,
-    SimDuration, SimTime,
+    ReportId, SimDuration, SimTime,
 };
-use mpros::network::NetMessage;
-use mpros::pdme::{Historian, MaintenanceRecord, Outcome, PdmeWalRecord, Supervisor};
+use mpros::network::{BatchEntry, NetMessage};
+use mpros::pdme::{
+    Historian, MaintenanceRecord, Outcome, PdmeExecutive, PdmeWalRecord, Supervisor,
+};
 use mpros::store::{
     encode_frame, scan_frame, scan_log, Frame, FrameScan, RecoveryManager, FRAME_HEADER_LEN,
     FRAME_TRAILER_LEN,
 };
-use mpros::telemetry::Telemetry;
+use mpros::telemetry::{SpanId, Telemetry, TraceContext, TraceId};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn sample_report() -> ConditionReport {
     ConditionReport::builder(
@@ -113,6 +116,64 @@ fn sample_records() -> Vec<PdmeWalRecord> {
             start: true,
         },
     ]
+}
+
+/// A full PDME snapshot with state in every section: registered
+/// machines and their reports and fused beliefs (OOSM, fusion), a DC
+/// assignment and a degraded DC (supervisor), a maintenance record
+/// (historian), liveness entries and a batch replay guard.
+fn sample_pdme_snapshot() -> &'static [u8] {
+    static SNAPSHOT: OnceLock<Vec<u8>> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let mut pdme = PdmeExecutive::new();
+        pdme.register_machine(MachineId::new(3), "chiller 3");
+        pdme.register_machine(MachineId::new(4), "chiller 4");
+        pdme.assign_dc(
+            DcId::new(2),
+            vec![MachineId::new(3), MachineId::new(4)],
+            vec![(0, vec![9, 8, 7])],
+        );
+        pdme.assign_dc(DcId::new(5), vec![MachineId::new(4)], Vec::new());
+        let mut batched = sample_report();
+        batched.id = ReportId::new(2);
+        batched.machine = MachineId::new(4);
+        batched.condition = MachineCondition::GearToothWear;
+        let batch = NetMessage::ReportBatch {
+            dc: DcId::new(2),
+            epoch: 1,
+            entries: vec![BatchEntry {
+                seq: 1,
+                trace: TraceContext {
+                    trace: TraceId(11),
+                    parent: SpanId(12),
+                },
+                report: batched,
+            }],
+        };
+        let msgs = [
+            NetMessage::Report(sample_report()),
+            batch,
+            NetMessage::Heartbeat {
+                dc: DcId::new(5),
+                at_secs: 60.0,
+            },
+        ];
+        pdme.ingest(&msgs, SimTime::from_secs(62.0))
+            .expect("ingests");
+        pdme.ingest(&msgs[2..], SimTime::from_secs(200.0))
+            .expect("ingests");
+        pdme.supervise(SimTime::from_secs(200.0), SimDuration::from_secs(30.0))
+            .expect("supervises");
+        pdme.record_maintenance(MaintenanceRecord {
+            at: SimTime::from_secs(210.0),
+            machine: MachineId::new(3),
+            condition: MachineCondition::MotorBearingDefect,
+            outcome: Outcome::Confirmed,
+            service_life: Some(SimDuration::from_hours(400.0)),
+        })
+        .expect("records");
+        pdme.snapshot_bytes()
+    })
 }
 
 /// A small valid log: a record, a snapshot, then two more records.
@@ -210,6 +271,18 @@ proptest! {
     }
 
     #[test]
+    fn pdme_snapshot_decoder_is_total(
+        noise in proptest::collection::vec(0u8..=255, 0..512),
+        mutation in arb_mutation()
+    ) {
+        for bytes in inputs(&noise, sample_pdme_snapshot().to_vec(), mutation) {
+            if let Ok(pdme) = PdmeExecutive::from_snapshot_bytes(&bytes) {
+                prop_assert_eq!(pdme.snapshot_bytes(), bytes);
+            }
+        }
+    }
+
+    #[test]
     fn journal_frame_decoder_is_total(
         which in 0usize..7,
         kind in 0u8..=255,
@@ -261,6 +334,38 @@ proptest! {
                     other => prop_assert!(false, "snapshot frame did not rescan: {:?}", other),
                 }
             }
+        }
+    }
+}
+
+/// Every single-byte edit of a real snapshot, at every position: the
+/// truncation, overwrites with a few telling values (zero, `z` above
+/// every name's letters, `0xff` past every tag, the neighbours of the
+/// original byte) and inserts. Random cases rarely land on the one
+/// byte that breaks an ordering or a count, so this walks them all.
+#[test]
+fn pdme_snapshot_decoder_is_total_under_every_single_byte_edit() {
+    let valid = sample_pdme_snapshot();
+    let check = |bytes: &[u8], what: &str| {
+        if let Ok(pdme) = PdmeExecutive::from_snapshot_bytes(bytes) {
+            assert!(
+                pdme.snapshot_bytes() == bytes,
+                "{what}: decoded snapshot re-encodes differently"
+            );
+        }
+    };
+    for at in 0..valid.len() {
+        check(&valid[..at], &format!("truncate at {at}"));
+        let orig = valid[at];
+        for byte in [0x00, b'z', 0xff, orig.wrapping_add(1), orig.wrapping_sub(1)] {
+            let mut bytes = valid.to_vec();
+            bytes[at] = byte;
+            check(&bytes, &format!("overwrite {at} with {byte:#04x}"));
+        }
+        for byte in [0x00, b'z'] {
+            let mut bytes = valid.to_vec();
+            bytes.insert(at, byte);
+            check(&bytes, &format!("insert {byte:#04x} at {at}"));
         }
     }
 }
